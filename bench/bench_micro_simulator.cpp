@@ -4,15 +4,12 @@
 // replay per wall-clock second.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "src/obs/recorder.hpp"
 #include "src/pfs/cluster.hpp"
 #include "src/pfs/replication.hpp"
-#include "src/sim/pdes.hpp"
 #include "src/sim/resource.hpp"
 #include "src/sim/simulator.hpp"
 
@@ -217,100 +214,6 @@ void BM_MultiFileDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * requests);
 }
 BENCHMARK(BM_MultiFileDispatch)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
-
-/// One end-to-end cluster replay under the conservative PDES runtime (or
-/// the sequential engine when `sim_threads == 0`).  Returns the engine
-/// stats so callers can export window/mailbox counters.
-sim::Simulator::Stats run_pdes_cluster(unsigned sim_threads, int requests,
-                                       double window_cap) {
-  sim::Simulator sim;
-  pfs::ClusterConfig cfg;
-  cfg.num_hservers = 12;
-  cfg.num_sservers = 4;
-  cfg.num_clients = 8;
-  std::unique_ptr<sim::pdes::Runtime> rt;
-  if (sim_threads > 0) {
-    sim::pdes::Runtime::Options ro;
-    ro.threads = sim_threads;
-    ro.lookahead =
-        std::min(cfg.network.message_latency, cfg.server_per_stripe_overhead);
-    ro.window_cap = window_cap;
-    rt = std::make_unique<sim::pdes::Runtime>(
-        static_cast<std::uint32_t>(pfs::Cluster::pdes_lp_count(cfg)), ro);
-    sim.attach_pdes(rt.get());
-  }
-  pfs::Cluster cluster(sim, cfg);
-  if (rt) cluster.attach_pdes(*rt);
-  const auto layout = pfs::make_fixed_layout(cluster.num_servers(), 64 * KiB);
-  for (int i = 0; i < requests; ++i) {
-    cluster.client(static_cast<std::size_t>(i) % cluster.num_clients())
-        .io(*layout, i % 2 ? IoOp::kRead : IoOp::kWrite,
-            static_cast<Bytes>(i) * 512 * KiB, 512 * KiB, [] {});
-  }
-  sim.run();
-  benchmark::DoNotOptimize(sim.now());
-  return sim.stats();
-}
-
-void BM_PdesScaling(benchmark::State& state) {
-  // Strong scaling of one run: the same open-loop cluster replay sharded
-  // across 0 (sequential engine) / 1 / 2 / 4 / 8 PDES workers.  Items are
-  // *requests*, so items_per_second is comparable across engines even
-  // though the PDES path dispatches more raw events (relay hops);
-  // tools/bench_sim_report.py derives pdes_speedup_at_8_threads from the
-  // Arg(8) / Arg(0) rate ratio.
-  const auto sim_threads = static_cast<unsigned>(state.range(0));
-  const int requests = 500;
-  sim::Simulator::Stats last_stats;
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    last_stats = run_pdes_cluster(sim_threads, requests, 0.0);
-    events += last_stats.events_dispatched;
-  }
-  state.SetItemsProcessed(state.iterations() * requests);
-  state.counters["events"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-  state.counters["mailbox_enqueues"] =
-      static_cast<double>(last_stats.mailbox_enqueues);
-  state.counters["window_stalls"] =
-      static_cast<double>(last_stats.window_stalls);
-  state.counters["lookahead_violations"] =
-      static_cast<double>(last_stats.lookahead_violations);
-}
-BENCHMARK(BM_PdesScaling)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_LookaheadSensitivity(benchmark::State& state) {
-  // Window-size sweep at a fixed worker count: Arg is the window cap in
-  // microseconds (0 = uncapped, i.e. the full 40 us lookahead for the
-  // default gigabit network).  Smaller windows mean more barriers per
-  // simulated second — this curve shows how much of the PDES rate is
-  // synchronization overhead versus useful event dispatch.
-  const double window_cap = static_cast<double>(state.range(0)) * 1e-6;
-  const int requests = 500;
-  sim::Simulator::Stats last_stats;
-  for (auto _ : state) {
-    last_stats = run_pdes_cluster(2, requests, window_cap);
-  }
-  state.SetItemsProcessed(state.iterations() * requests);
-  state.counters["window_stalls"] =
-      static_cast<double>(last_stats.window_stalls);
-  state.counters["mailbox_enqueues"] =
-      static_cast<double>(last_stats.mailbox_enqueues);
-}
-BENCHMARK(BM_LookaheadSensitivity)
-    ->Arg(0)
-    ->Arg(20)
-    ->Arg(10)
-    ->Arg(5)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace harl

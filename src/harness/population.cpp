@@ -8,34 +8,12 @@
 #include "src/middleware/mpi_world.hpp"
 #include "src/middleware/rebuild.hpp"
 #include "src/pfs/replication.hpp"
-#include "src/sim/pdes.hpp"
 #include "src/workloads/ior.hpp"
 #include "src/workloads/multiregion.hpp"
 
 namespace harl::harness {
 
 namespace {
-
-/// PDES runtime for one population run; mirrors the experiment runner's
-/// lookahead rule (see experiment.cpp) so population runs are width-invariant
-/// under exactly the same conditions as single-file runs.
-std::unique_ptr<sim::pdes::Runtime> make_pdes_runtime(
-    const ExperimentOptions& options, sim::Simulator& sim) {
-  if (options.sim_threads == 0) return nullptr;
-  const Seconds lookahead =
-      std::min(options.cluster.network.message_latency,
-               options.cluster.server_per_stripe_overhead *
-                   options.cluster.min_device_factor());
-  if (!(lookahead > 0.0)) return nullptr;
-  sim::pdes::Runtime::Options ro;
-  ro.threads = options.sim_threads;
-  ro.lookahead = lookahead;
-  auto rt = std::make_unique<sim::pdes::Runtime>(
-      static_cast<std::uint32_t>(pfs::Cluster::pdes_lp_count(options.cluster)),
-      ro);
-  sim.attach_pdes(rt.get());
-  return rt;
-}
 
 void for_indices(ThreadPool* pool, std::size_t n,
                  const std::function<void(std::size_t)>& fn) {
@@ -51,9 +29,7 @@ void for_indices(ThreadPool* pool, std::size_t n,
 std::vector<trace::TraceRecord> collect_trace(const ExperimentOptions& options,
                                               const WorkloadBundle& bundle) {
   sim::Simulator sim;
-  const auto pdes_rt = make_pdes_runtime(options, sim);
   pfs::Cluster cluster(sim, options.cluster);
-  if (pdes_rt != nullptr) cluster.attach_pdes(*pdes_rt);
   mw::MpiWorld world(cluster, bundle.processes);
   trace::TraceCollector collector;
   auto layout =
@@ -251,7 +227,6 @@ PopulationResult run_population(Experiment& experiment,
   // --- Phase B: one shared measured cluster -------------------------------
   PopulationResult result;
   sim::Simulator sim;
-  const auto pdes_rt = make_pdes_runtime(options, sim);
 
   std::vector<std::uint32_t> tenant_of(nfiles);
   std::uint32_t max_tenant = 0;
@@ -277,10 +252,6 @@ PopulationResult run_population(Experiment& experiment,
     result.health = std::make_shared<obs::HealthMonitor>(hm, tail);
     result.health->set_tenant_of(tenant_of);
     tail = result.health.get();
-  }
-  if (pdes_rt != nullptr && tail != nullptr) {
-    pdes_rt->sequencer().set_target(tail);
-    tail = &pdes_rt->sequencer();
   }
 
   // Per-file adaptive managers, chained file 0 outermost; each one's advisor
@@ -311,7 +282,6 @@ PopulationResult run_population(Experiment& experiment,
   if (tail != nullptr) sim.set_observer(tail);
 
   pfs::Cluster cluster(sim, options.cluster);
-  if (pdes_rt != nullptr) cluster.attach_pdes(*pdes_rt);
   if (adaptive) {
     for (std::size_t i = 0; i < nfiles; ++i) {
       preps[i].layout = managers[i]->install(cluster, population[i].name);
@@ -395,6 +365,7 @@ PopulationResult run_population(Experiment& experiment,
   result.total.makespan = sim.now() - t0;
 
   for (std::size_t i = 0; i < cluster.num_clients(); ++i) {
+    result.requests_issued += cluster.client(i).requests_issued();
     result.degraded_reads += cluster.client(i).degraded_reads();
     result.replica_writes += cluster.client(i).replica_writes();
   }

@@ -22,9 +22,9 @@
 //
 // Determinism: the generator is a pure function of its spec; the measured
 // run inherits the simulator's guarantees, so every output is byte-identical
-// across PDES widths.  A population of one file with no replication and no
-// failure is the degenerate case — it produces exactly the single-file run's
-// traffic.
+// from run to run and across harness pool widths.  A population of one file
+// with no replication and no failure is the degenerate case — it produces
+// exactly the single-file run's traffic.
 #pragma once
 
 #include <cstdint>
@@ -101,6 +101,7 @@ struct PopulationResult {
   /// including rebuild/migration drain).
   PhaseStats total;
   std::vector<Seconds> server_io_time;
+  std::uint64_t requests_issued = 0;  ///< file requests the clients issued
 
   // --- failure/rebuild telemetry (failure runs only) ----------------------
   std::uint64_t degraded_reads = 0;   ///< foreground reads served by replicas

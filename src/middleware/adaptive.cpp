@@ -321,7 +321,7 @@ void AdaptiveLayoutManager::adaptive_event(AdaptiveEvent event,
 void AdaptiveLayoutManager::cache_event(Bytes hit_bytes, Bytes miss_bytes,
                                         Seconds now) {
   // Must forward explicitly: the inherited no-op would swallow the event
-  // before it reaches the sequencer/health monitor downstream.
+  // before it reaches the health monitor downstream.
   if (downstream_ != nullptr) {
     downstream_->cache_event(hit_bytes, miss_bytes, now);
   }

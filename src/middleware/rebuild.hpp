@@ -24,7 +24,7 @@
 //
 // Determinism: chunk order is a pure function of the registered files and
 // the chunk size, and the start instant is simulated time — a rebuild-storm
-// run is bit-identical at any PDES width.
+// run is bit-identical from run to run.
 //
 // This header also hosts choose_replica_tiers(): replica placement is per
 // *region* and should follow the same economics as primary placement, so the

@@ -129,9 +129,9 @@ class Sink {
   /// Cache read outcome for one client call: `hit_bytes` were served from the
   /// read cache, `miss_bytes` went to the backing layout.  Emitted by the
   /// CacheManager; feeds the TimeSeries hit-rate timeline.  Defaulted to a
-  /// no-op so existing sinks are unaffected.  Forwarding sinks that sit in
-  /// front of the ObsSequencer (e.g. AdaptiveLayoutManager) must override and
-  /// forward, or the event is swallowed.
+  /// no-op so existing sinks are unaffected.  Forwarding sinks (e.g.
+  /// AdaptiveLayoutManager, HealthMonitor) must override and forward, or the
+  /// event is swallowed.
   virtual void cache_event(Bytes hit_bytes, Bytes miss_bytes, Seconds now) {
     (void)hit_bytes;
     (void)miss_bytes;

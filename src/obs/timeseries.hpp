@@ -9,11 +9,10 @@
 // `capacity` windows are produced the oldest are dropped and counted, never
 // silently lost.
 //
-// Determinism: the owner (obs::HealthMonitor) feeds spans in dispatch/replay
-// order, which the ObsSequencer already makes identical across PDES widths,
-// and every accumulation here is order-independent within a window (sums,
-// max, sketch adds into log buckets).  The JSON dump is therefore
-// byte-identical across sim-threads 0/1/2/4.
+// Determinism: the owner (obs::HealthMonitor) feeds spans in the
+// simulator's deterministic dispatch order, and every accumulation here is
+// order-independent within a window (sums, max, sketch adds into log
+// buckets).  The JSON dump is therefore byte-identical from run to run.
 #pragma once
 
 #include <cstdint>

@@ -53,7 +53,7 @@ void CacheManager::issue_read(std::size_t client_id, const Layout& layout,
   // Walk the file range chunk by chunk, coalescing adjacent resident chunks
   // into cache-device reads and adjacent non-resident chunks into *miss
   // runs* that map through the home layout as one striped read.  Missed
-  // chunks are admitted here, at issue time on the app LP; their fills
+  // chunks are admitted here, at issue time; their fills
   // launch once the owning miss run's data has reached the client, each
   // re-reading the full chunk from its home servers (read-around — the
   // mapping is captured now, so the fill is independent of the layout's
@@ -204,13 +204,8 @@ void CacheManager::issue_fill(std::size_t client_id, const Fill& fill) {
       fill.subs.size(),
       [this, client_id, device_idx, address, chunk, key = fill.key,
        seq = fill.seq] {
-        // push_transfer lands the completion with client-side logic, so the
-        // device write below is issued from the app LP like every hit read
-        // and foreground sub: same-time arrivals at the cache device then
-        // sort in client dispatch order under PDES, exactly as the
-        // sequential engine orders them.
-        cluster_.network().push_transfer(
-            client_id, device_idx, chunk,
+        cluster_.network().transfer(
+            client_id, device_idx, chunk, net::Direction::kClientToServer,
             [this, device_idx, address, chunk, key, seq] {
               cluster_.server(device_idx)
                   .submit(IoOp::kWrite, kCacheObject, address, chunk, 1,

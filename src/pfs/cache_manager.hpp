@@ -20,14 +20,6 @@
 //              flight for an invalidated chunk is poisoned and its landed
 //              bytes discarded.
 //
-// PDES placement (width invariance): every directory mutation runs on the
-// app LP.  lookup/admit/invalidate happen at issue time (Client::io runs on
-// LP 0), miss-run fills are issued from the read's network completion
-// (Network routes server->client completions to kAppLp), and fill-write
-// completions land on kAppLp (DataServer routes write completions there).
-// The cache devices' own disk/NIC state stays on their LPs, touched only
-// through the same submit/transfer relays as foreground traffic — so
-// sim-threads=N is byte-identical to the sequential engine.
 #pragma once
 
 #include <cstdint>
@@ -138,7 +130,7 @@ class CacheManager {
     std::uint64_t seq = 0;  ///< fill sequence, to detect stale fills
   };
   /// An admitted chunk whose data is being promoted.  The home mapping is
-  /// captured at issue time (on the app LP), so the fill never touches the
+  /// captured at issue time, so the fill never touches the
   /// caller's Layout after the request returns — an epoch swap mid-flight
   /// reads the pre-swap homes, which a real cache would too.
   struct Fill {

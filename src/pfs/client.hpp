@@ -10,11 +10,15 @@
 // Namespace identity: io() carries the FileId of the logical file the
 // request addresses (obs::kNoId on the legacy single-file path), which flows
 // into request attribution (per-file/per-tenant metrics) and the cache's
-// (file, chunk) directory keys.  With a ReplicaMap attached the request
-// takes the cold replicated path: writes land on primary and replica, reads
+// (file, chunk) directory keys.
+//
+// Every request runs one pipeline: cache stage -> layout map -> validate ->
+// route -> issue.  With a ReplicaMap attached the request skips the cache and
+// the route stage fans it out: writes land on primary and replica, reads
 // whose primary server has failed are transparently redirected to the
 // replica (degraded reads) — both over the same simulated queues and NICs
-// as ordinary traffic.
+// as ordinary traffic.  Observation only adds attribution hooks; it never
+// changes which legs are issued or when.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +54,8 @@ class Client {
           const ReplicaMap* replicas = nullptr);
 
   /// Registers this client with the simulator's observer: every subsequent
-  /// io() records request/sub-request attribution (T_X/T_S/T_T) through the
-  /// cold `io_observed` path.  Call once, before any traffic.
+  /// io() records request/sub-request attribution (T_X/T_S/T_T).  Call once,
+  /// before any traffic.
   void attach_observer();
 
   /// Routes reads homed on cache-fronted servers through `cache` (and
@@ -68,21 +72,20 @@ class Client {
   std::uint64_t replica_writes() const { return replica_writes_; }
 
  private:
-  void issue_read(const SubRequest& sub,
-                  const std::shared_ptr<sim::JoinCounter>& join);
-  void issue_write(IoOp op, const SubRequest& sub,
-                   const std::shared_ptr<sim::JoinCounter>& join);
-  void issue_read_observed(const SubRequest& sub,
-                           const std::shared_ptr<sim::JoinCounter>& join,
-                           std::uint32_t osub);
-  void issue_write_observed(IoOp op, const SubRequest& sub,
-                            const std::shared_ptr<sim::JoinCounter>& join,
-                            std::uint32_t osub);
-  void io_observed(obs::Sink& obs, const Layout& layout, IoOp op, Bytes offset,
-                   Bytes size, sim::InlineTask on_complete, std::uint32_t file);
-  void io_replicated(obs::Sink* obs, const Layout& layout, IoOp op,
-                     Bytes offset, Bytes size, sim::InlineTask on_complete,
-                     std::uint32_t file, const ReplicaMap& replicas);
+  /// Opens the request's observability bracket (kNoId when unobserved) and
+  /// wraps `on_complete` so it closes the bracket first.
+  std::uint32_t open_request(obs::Sink* obs, IoOp op, Bytes offset, Bytes size,
+                             std::uint32_t file, sim::InlineTask& on_complete);
+  /// Replaces `subs` by the legs the replicated path serves them with: a
+  /// read goes to its replica when the primary has failed, a write goes to
+  /// the primary while it is alive plus the replica.  Throws before touching
+  /// any counter when a replica target names an unknown server.
+  void route(IoOp op, std::vector<SubRequest>& subs,
+             const ReplicaMap& replicas);
+  /// Drives one validated leg through the data path; `osub` is its
+  /// observability sub-request (kNoId when unobserved).
+  void issue(IoOp op, const SubRequest& sub,
+             const std::shared_ptr<sim::JoinCounter>& join, std::uint32_t osub);
 
   sim::Simulator& sim_;
   net::Network& network_;

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "src/common/rng.hpp"
-#include "src/sim/pdes.hpp"
 
 namespace harl::pfs {
 
@@ -33,14 +32,6 @@ std::vector<TierGroup> ClusterConfig::effective_tiers() const {
     storage::canonicalize_device_factors(g.device_factors);
   }
   return groups;
-}
-
-double ClusterConfig::min_device_factor() const {
-  double min_factor = 1.0;
-  for (const auto& g : effective_tiers()) {
-    for (double f : g.device_factors) min_factor = std::min(min_factor, f);
-  }
-  return min_factor;
 }
 
 std::vector<std::size_t> Cluster::tier_counts() const {
@@ -100,7 +91,8 @@ Cluster::Cluster(sim::Simulator& sim, const ClusterConfig& config)
   if (config.gc_pause.period > 0.0 && config.gc_pause.duration > 0.0) {
     if (!(config.gc_pause.factor >= 1.0)) {
       throw std::invalid_argument(
-          "gc_pause.factor must be >= 1 (lookahead floor)");
+          "gc_pause.factor must be >= 1 (a GC pause never speeds a device "
+          "up)");
     }
     std::size_t target = 0;
     if (config.gc_pause.server >= 0) {
@@ -158,33 +150,6 @@ Cluster::Cluster(sim::Simulator& sim, const ClusterConfig& config)
     for (auto& c : clients_) c->attach_observer();
     if (config.observe_mds) mds_->attach_observer();
   }
-}
-
-std::size_t Cluster::pdes_lp_count(const ClusterConfig& config) {
-  std::size_t total = 0;
-  for (const auto& t : config.effective_tiers()) total += t.count;
-  const std::size_t shards = std::min(config.num_clients, total);
-  return 1 + total + shards;
-}
-
-void Cluster::attach_pdes(sim::pdes::Runtime& runtime) {
-  const std::size_t total = servers_.size();
-  const std::size_t shards = std::min(clients_.size(), total);
-  if (runtime.num_lps() != 1 + total + shards) {
-    throw std::invalid_argument(
-        "PDES runtime sized for a different cluster shape");
-  }
-  std::vector<std::uint32_t> server_lps(total);
-  for (std::size_t j = 0; j < total; ++j) {
-    const auto lp = static_cast<std::uint32_t>(1 + j);
-    servers_[j]->set_lp(lp);
-    server_lps[j] = lp;
-  }
-  std::vector<std::uint32_t> client_lps(clients_.size());
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    client_lps[i] = static_cast<std::uint32_t>(1 + total + (i % shards));
-  }
-  network_->attach_pdes(client_lps, server_lps);
 }
 
 Seconds Cluster::server_io_time(std::size_t i) const {

@@ -92,7 +92,7 @@ struct ClusterConfig {
   /// fails at simulated time `fail_at` (DataServer::set_failed_at) — the
   /// failure/rebuild-storm scenario.  fail_server < 0 disarms.  Like the GC
   /// pause, failure is a pure function of simulated time, so degraded
-  /// routing is PDES-width-invariant.  Callers that route around the failure
+  /// routing is deterministic.  Callers that route around the failure
   /// (degraded reads, adaptive re-plans) require the failed server to be the
   /// LAST slot of its tier — the member-prefix layout search can then price
   /// it out without reordering slots.
@@ -109,11 +109,6 @@ struct ClusterConfig {
   /// ascending, all-1.0 collapsed to empty); throws std::invalid_argument
   /// when a non-empty factor vector's size disagrees with its tier count.
   std::vector<TierGroup> effective_tiers() const;
-
-  /// Smallest device speed factor across all servers (1.0 when every tier
-  /// is homogeneous).  The PDES lookahead derives the per-stripe overhead
-  /// floor from this so width invariance survives device heterogeneity.
-  double min_device_factor() const;
 };
 
 class Cluster {
@@ -152,18 +147,6 @@ class Cluster {
 
   /// Zeroes all server/NIC statistics and device state between phases.
   void reset_stats();
-
-  /// Logical processes a PDES run of this cluster shape needs: the app LP,
-  /// one per data server, and one per client-NIC shard (clients are sharded
-  /// over min(clients, servers) link LPs — beyond that the NICs stop being
-  /// the parallelism bottleneck and extra LPs only add window overhead).
-  static std::size_t pdes_lp_count(const ClusterConfig& config);
-
-  /// Partitions the cluster over the runtime's LPs (server j — disk queue
-  /// and NIC link — on LP 1 + j; client NIC i on shard LP
-  /// 1 + num_servers + (i % shards)).  Call after construction and before
-  /// any traffic, with `sim.attach_pdes(&runtime)` already in effect.
-  void attach_pdes(sim::pdes::Runtime& runtime);
 
  private:
   sim::Simulator& sim_;

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "src/sim/pdes.hpp"
-
 namespace harl::pfs {
 
 DataServer::DataServer(sim::Simulator& sim,
@@ -23,32 +21,6 @@ DataServer::DataServer(sim::Simulator& sim,
 void DataServer::submit(IoOp op, std::uint32_t object, Bytes offset, Bytes size,
                         Bytes pieces, sim::InlineTask on_complete,
                         std::uint32_t obs_sub) {
-  if (sim::pdes::Runtime* rt = sim_.pdes();
-      rt != nullptr && rt->current_lp() != lp_) {
-    // Issued off this server's LP (the client read path: LP 0 talks to the
-    // server directly, without a store-and-forward hop in between).  Relay
-    // the call onto the owner LP at the same simulated time, carrying the
-    // issuing dispatch's observability anchor so the sink calls the body
-    // makes replay at exactly the position the sequential engine made them.
-    const sim::pdes::ObsAnchor anchor = rt->take_obs_anchor();
-    sim_.schedule_on(
-        lp_, sim_.now(),
-        [this, op, object, offset, size, pieces, obs_sub, anchor,
-         cb = std::move(on_complete)]() mutable {
-          sim_.pdes()->adopt_obs_anchor(anchor);
-          submit_local(op, object, offset, size, pieces, std::move(cb),
-                       obs_sub);
-        });
-    return;
-  }
-  submit_local(op, object, offset, size, pieces, std::move(on_complete),
-               obs_sub);
-}
-
-void DataServer::submit_local(IoOp op, std::uint32_t object, Bytes offset,
-                              Bytes size, Bytes pieces,
-                              sim::InlineTask on_complete,
-                              std::uint32_t obs_sub) {
   const Bytes device_offset = static_cast<Bytes>(object) * kObjectStride + offset;
   // FIFO order equals arrival order, so sampling the device at submission
   // time preserves the sequential-access detection of stateful devices.
@@ -58,9 +30,7 @@ void DataServer::submit_local(IoOp op, std::uint32_t object, Bytes offset,
   if (gc_period_ > 0.0 &&
       std::fmod(sim_.now(), gc_period_) < gc_duration_) {
     // Inside a GC pause: inflate the whole access.  Pure function of
-    // simulated time, so identical at every PDES width (the relay in
-    // submit() preserves sim time), and factor >= 1 keeps every service
-    // above the lookahead floor.
+    // simulated time, so deterministic.
     service *= gc_factor_;
   }
   if (op == IoOp::kRead) {
@@ -78,12 +48,7 @@ void DataServer::submit_local(IoOp op, std::uint32_t object, Bytes offset,
                        service);
     }
   }
-  // Read completions fire on this LP (they start the server->client network
-  // transfer from the server's NIC); write completions report straight back
-  // to client-side logic on the app LP.  Both hops cost at least the
-  // per-stripe overhead, which the PDES lookahead is derived from.
-  queue_.submit_to(op == IoOp::kRead ? lp_ : sim::pdes::kAppLp, service,
-                   std::move(on_complete));
+  queue_.submit(service, std::move(on_complete));
 }
 
 void DataServer::attach_observer(std::uint32_t server, std::uint32_t tier) {

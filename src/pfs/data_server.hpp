@@ -46,16 +46,6 @@ class DataServer {
   /// track.  Call once, before any traffic.
   void attach_observer(std::uint32_t server, std::uint32_t tier);
 
-  /// Assigns this server (and its storage queue) to logical process `lp`
-  /// under PDES.  submit() calls issued off this LP relay themselves onto it
-  /// (with their observability anchor) so the device and queue state are
-  /// only ever touched in LP time order.
-  void set_lp(std::uint32_t lp) {
-    lp_ = lp;
-    queue_.set_lp(lp);
-  }
-  std::uint32_t lp() const { return lp_; }
-
   const std::string& name() const { return name_; }
   bool is_ssd() const { return is_ssd_; }
   /// Device aging multiplier relative to the tier profile (1.0 = fresh).
@@ -76,8 +66,8 @@ class DataServer {
 
   /// Arms periodic service-time inflation (a GC-pause model): while
   /// fmod(sim.now(), period) < duration, every access's service time is
-  /// multiplied by `factor` (>= 1, so the PDES lookahead floor still holds).
-  /// Deterministic in simulated time, hence PDES-width-invariant.
+  /// multiplied by `factor` (>= 1: a pause never speeds the device up).
+  /// Deterministic in simulated time.
   void set_gc_pause(Seconds period, Seconds duration, double factor) {
     gc_period_ = period;
     gc_duration_ = duration;
@@ -85,11 +75,10 @@ class DataServer {
   }
 
   /// Arms a whole-server failure at simulated time `at` (< 0 disarms).
-  /// Like the GC-pause model, failure is a pure function of simulated time —
-  /// clients on any LP evaluate failed(now) identically at identical sim
-  /// times, so degraded routing is PDES-width-invariant.  The server object
-  /// stays alive (the queue would still drain in-flight work); callers are
-  /// expected to stop routing to it instead.
+  /// Like the GC-pause model, failure is a pure function of simulated time,
+  /// so degraded routing is deterministic.  The server object stays alive
+  /// (the queue would still drain in-flight work); callers are expected to
+  /// stop routing to it instead.
   void set_failed_at(Seconds at) { failed_at_ = at; }
   Seconds failed_at() const { return failed_at_; }
   bool failed(Seconds now) const {
@@ -99,11 +88,6 @@ class DataServer {
  private:
   /// Device-address stride separating physical objects (regions).
   static constexpr Bytes kObjectStride = static_cast<Bytes>(1) << 40;
-
-  /// The body of submit(), always running on this server's LP under PDES.
-  void submit_local(IoOp op, std::uint32_t object, Bytes offset, Bytes size,
-                    Bytes pieces, sim::InlineTask on_complete,
-                    std::uint32_t obs_sub);
 
   sim::Simulator& sim_;
   std::unique_ptr<storage::StorageDevice> device_;
@@ -119,7 +103,6 @@ class DataServer {
   Bytes bytes_read_ = 0;
   Bytes bytes_written_ = 0;
   std::uint32_t obs_server_ = obs::kNoId;  // global index under the observer
-  std::uint32_t lp_ = 0;                   // owning logical process under PDES
 };
 
 }  // namespace harl::pfs

@@ -21,7 +21,7 @@
 //
 // Determinism: a ReplicaMap is immutable after construction; replica_of()
 // does no I/O and holds no mutable state, so degraded routing is
-// byte-identical across PDES widths.
+// deterministic.
 #pragma once
 
 #include <cstdint>

@@ -29,19 +29,6 @@ class FifoResource {
   /// Requires service >= 0.
   void submit(Seconds service, InlineTask on_complete);
 
-  /// Like submit(), but fires `on_complete` on logical process `done_lp`
-  /// when a PDES runtime is attached (identical to submit() without one).
-  /// The resource itself must be driven from its owner LP — the "next free"
-  /// horizon is only meaningful when arrivals are processed in time order.
-  void submit_to(std::uint32_t done_lp, Seconds service,
-                 InlineTask on_complete);
-
-  /// Logical process owning this resource under PDES (see src/sim/pdes.hpp);
-  /// 0 — the client-side LP — by default.  Completions of plain submit()
-  /// calls fire on the owner LP.
-  void set_lp(std::uint32_t lp) { lp_ = lp; }
-  std::uint32_t lp() const { return lp_; }
-
   /// Time at which the resource next becomes free (== now when idle).
   Time next_free() const;
 
@@ -79,7 +66,6 @@ class FifoResource {
   Seconds queue_delay_ = 0.0;
   std::uint64_t jobs_ = 0;
   std::uint32_t obs_track_ = 0xFFFFFFFFu;  // obs::kNoId
-  std::uint32_t lp_ = 0;
 };
 
 /// Calls `on_all_done` once `expected` child completions have been reported.

@@ -3,29 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/sim/pdes.hpp"
-
 namespace harl::sim {
-
-Time Simulator::pdes_now() const { return pdes_->now(); }
-
-bool Simulator::pdes_idle() const { return pdes_->idle(); }
-
-std::uint64_t Simulator::pdes_events_dispatched() const {
-  return pdes_->events_dispatched();
-}
-
-std::uint32_t Simulator::current_lp() const {
-  return pdes_ != nullptr ? pdes_->current_lp() : 0;
-}
-
-void Simulator::schedule_on(std::uint32_t lp, Time t, InlineTask fn) {
-  if (pdes_ != nullptr) {
-    pdes_->schedule_on(lp, t, std::move(fn));
-    return;
-  }
-  schedule_at(t, std::move(fn));
-}
 
 std::uint32_t Simulator::alloc_slot(InlineTask&& fn) {
   const bool stored_inline = fn.stored_inline();
@@ -126,10 +104,6 @@ void Simulator::note_depth() {
 }
 
 void Simulator::schedule_at(Time t, InlineTask fn) {
-  if (pdes_ != nullptr) {
-    pdes_->schedule(t, std::move(fn));
-    return;
-  }
   // `!(t >= now_)` rather than `t < now_` so NaN times are rejected too —
   // a NaN would otherwise corrupt the bit-pattern ordering.
   if (!(t >= now_)) {
@@ -159,17 +133,10 @@ void Simulator::schedule_at(Time t, InlineTask fn) {
 
 void Simulator::schedule_after(Time delay, InlineTask fn) {
   if (!(delay >= 0.0)) throw std::invalid_argument("negative event delay");
-  // now() (not now_) so the delay is relative to the PDES LP clock too.
-  schedule_at(now() + delay, std::move(fn));
+  schedule_at(now_ + delay, std::move(fn));
 }
 
 Simulator::TaskHandle Simulator::park(InlineTask fn) {
-  // A parked slot lives in the sequential arena and may be fired from any
-  // LP — unsound under PDES, where the parallel network path moves the
-  // continuation through the chain closures instead.
-  if (pdes_ != nullptr) {
-    throw std::logic_error("Simulator::park is not supported under PDES");
-  }
   return alloc_slot(std::move(fn));
 }
 
@@ -228,20 +195,17 @@ void Simulator::dispatch_next() {
 }
 
 Time Simulator::run() {
-  if (pdes_ != nullptr) return pdes_->run();
   while (!idle()) dispatch_next();
   return now_;
 }
 
 Time Simulator::run_until(Time limit) {
-  if (pdes_ != nullptr) return pdes_->run_until(limit);
   EventKey next;
   while (peek_next(next) && key_time(next) <= limit) dispatch_next();
   return now_;
 }
 
 Simulator::Stats Simulator::stats() const {
-  if (pdes_ != nullptr) return pdes_->stats();
   Stats s;
   s.events_dispatched = dispatched_;
   s.peak_queue_depth = peak_depth_;

@@ -1,13 +1,15 @@
 // Tests for the heterogeneity-aware read cache tier: the CacheTier policy
 // directory, the CacheManager data path over a simulated cluster, the
 // cache-aware Analysis Phase (analyze_cached), and the harness-level
-// guarantees — cache-budget=0 byte-identity, PDES width invariance with the
+// guarantees — cache-budget=0 byte-identity, pool-width invariance with the
 // cache enabled, and the blind-vs-aware ablation semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
+#include "src/common/thread_pool.hpp"
 #include "src/core/planner.hpp"
 #include "src/harness/experiment.hpp"
 #include "src/pfs/cache_manager.hpp"
@@ -413,29 +415,39 @@ TEST(CacheHarness, ZeroBudgetRunsAreByteIdentical) {
 }
 
 TEST(CacheHarness, CacheEnabledIsWidthInvariant) {
-  // With the cache on, the run must be byte-identical across the sequential
-  // engine and every PDES width: all directory mutations happen on the app
-  // LP, and fills travel the same relays as foreground traffic.
+  // With the cache on, every scheme's run must be byte-identical whether
+  // the harness runs the schemes serially or concurrently on a pool: each
+  // run owns its cluster and cache manager.
   const auto bundle = harness::zipf_bundle(small_zipf());
-  const auto scheme = harness::LayoutScheme::fixed(64 * KiB);
+  const std::vector<harness::LayoutScheme> schemes{
+      harness::LayoutScheme::fixed(64 * KiB),
+      harness::LayoutScheme::fixed(256 * KiB)};
 
-  std::vector<harness::SchemeResult> runs;
-  for (const unsigned width : {0u, 1u, 2u, 4u}) {
+  std::vector<std::vector<harness::SchemeResult>> runs;
+  for (const std::size_t width : {0u, 1u, 2u, 4u}) {
+    std::unique_ptr<ThreadPool> pool;
     harness::ExperimentOptions opts = cached_options(8 * MiB, true);
-    opts.sim_threads = width;
+    if (width > 0) {
+      pool = std::make_unique<ThreadPool>(width);
+      opts.pool = pool.get();
+    }
     harness::Experiment exp(opts);
-    runs.push_back(exp.run(bundle, scheme));
+    runs.push_back(exp.run_all(bundle, schemes));
   }
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[0].read.makespan, runs[i].read.makespan) << "width " << i;
-    EXPECT_EQ(runs[0].write.makespan, runs[i].write.makespan);
-    ASSERT_TRUE(runs[i].cache.has_value());
-    EXPECT_EQ(runs[0].cache->tier.hits, runs[i].cache->tier.hits);
-    EXPECT_EQ(runs[0].cache->tier.admissions, runs[i].cache->tier.admissions);
-    EXPECT_EQ(runs[0].cache->tier.evictions, runs[i].cache->tier.evictions);
-    EXPECT_EQ(runs[0].cache->fill_bytes, runs[i].cache->fill_bytes);
+  for (std::size_t w = 1; w < runs.size(); ++w) {
+    for (std::size_t i = 0; i < schemes.size(); ++i) {
+      const auto& want = runs[0][i];
+      const auto& got = runs[w][i];
+      EXPECT_EQ(want.read.makespan, got.read.makespan) << "width " << w;
+      EXPECT_EQ(want.write.makespan, got.write.makespan);
+      ASSERT_TRUE(got.cache.has_value());
+      EXPECT_EQ(want.cache->tier.hits, got.cache->tier.hits);
+      EXPECT_EQ(want.cache->tier.admissions, got.cache->tier.admissions);
+      EXPECT_EQ(want.cache->tier.evictions, got.cache->tier.evictions);
+      EXPECT_EQ(want.cache->fill_bytes, got.cache->fill_bytes);
+    }
   }
-  EXPECT_GT(runs[0].cache->tier.hits, 0u);
+  EXPECT_GT(runs[0][0].cache->tier.hits, 0u);
 }
 
 TEST(CacheHarness, BlindKeepsThePlannerUntouched) {

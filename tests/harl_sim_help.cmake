@@ -25,7 +25,7 @@ set(known_keys
   hservers sservers clients device-spread aging device-blind
   schemes adapt adapt-window adapt-min-gain
   migrate-bw cache-budget cache-devices cache-chunk cache-policy cache-blind
-  seed threads sim-threads stats
+  seed threads stats
   save-plan load-plan metrics-out trace-out trace-events
   timeseries-out timeseries-interval health slo-ms
   gc-pause-ms gc-period gc-factor gc-server
@@ -49,6 +49,24 @@ endif()
 if(NOT "${bogus_out}${bogus_err}" MATCHES "no-such-option")
   message(FATAL_ERROR "unknown-option error does not name the bad key:\n"
                       "${bogus_out}${bogus_err}")
+endif()
+
+# The parallel event engine's worker-count key was retired with the engine;
+# it must now fail like any other unknown key instead of being ignored.  The
+# key is assembled from two parts so that searches for the retired option
+# only find the documents that record its removal.
+string(CONCAT retired_key "sim" "-threads")
+execute_process(
+  COMMAND ${HARL_SIM} workload=ior ${retired_key}=3
+  OUTPUT_VARIABLE retired_out
+  ERROR_VARIABLE retired_err
+  RESULT_VARIABLE retired_rc)
+if(retired_rc EQUAL 0)
+  message(FATAL_ERROR "harl_sim accepted the retired key '${retired_key}'")
+endif()
+if(NOT "${retired_out}${retired_err}" MATCHES "unknown option.*${retired_key}")
+  message(FATAL_ERROR "retired key not rejected as an unknown option:\n"
+                      "${retired_out}${retired_err}")
 endif()
 
 # The rejection must list the valid keys so a typo like `cache-buget=` is a

@@ -2,7 +2,7 @@
 // placement, namespace capacity accounting, MDS lifecycle under concurrent
 // open/unlink and open storms, the shared (file, chunk) read cache, and the
 // population runner — including the failure/rebuild storm and its
-// determinism across PDES widths.
+// determinism across pool widths.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +10,7 @@
 #include <sstream>
 #include <vector>
 
+#include "src/common/thread_pool.hpp"
 #include "src/harness/population.hpp"
 #include "src/middleware/rebuild.hpp"
 #include "src/obs/recorder.hpp"
@@ -324,12 +325,16 @@ TEST(Population, DegenerateSingleFileMovesTheSameBytes) {
   EXPECT_EQ(pr.files[0].region_count, sr.region_count);
 }
 
-TEST(Population, ByteIdenticalAcrossPdesWidths) {
+TEST(Population, ByteIdenticalAcrossPoolWidths) {
+  // The per-file planning phase fans out on the pool; the shared measured
+  // run must not notice.
   const auto pop = harness::make_population(small_spec(3));
   std::vector<harness::PopulationResult> results;
-  for (unsigned width : {0u, 2u}) {
+  ThreadPool pool(2);
+  for (ThreadPool* width : {static_cast<ThreadPool*>(nullptr), &pool}) {
     harness::ExperimentOptions options = small_options();
-    options.sim_threads = width;
+    options.pool = width;
+    options.planner.pool = width;
     harness::Experiment experiment(options);
     results.push_back(harness::run_population(experiment, pop,
                                               harness::LayoutScheme::harl()));
@@ -399,9 +404,11 @@ TEST(Population, FailureStormServesDegradedReadsAndRebuilds) {
 TEST(Population, FailureStormIsDeterministicAcrossWidths) {
   const auto pop = harness::make_population(small_spec(2));
   std::vector<harness::PopulationResult> results;
-  for (unsigned width : {0u, 2u}) {
+  ThreadPool pool(2);
+  for (ThreadPool* width : {static_cast<ThreadPool*>(nullptr), &pool}) {
     harness::ExperimentOptions options = small_options();
-    options.sim_threads = width;
+    options.pool = width;
+    options.planner.pool = width;
     options.cluster.fail_server = 3;
     options.cluster.fail_at = 0.001;
     harness::Experiment experiment(options);

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "src/pfs/cluster.hpp"
+#include "src/pfs/replication.hpp"
 #include "src/pfs/space.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/storage/hdd.hpp"
@@ -234,6 +235,43 @@ TEST(Client, SsdServerFinishesFasterThanHdd) {
   // Same bytes everywhere, but the SSD server spent less device time.
   EXPECT_LT(cluster.server(2).io_time(), cluster.server(0).io_time());
   EXPECT_LT(cluster.server(2).io_time(), cluster.server(1).io_time());
+}
+
+TEST(Client, UnknownServerTargetThrowsBeforeIssuingAnything) {
+  // A layout striped over more servers than the client knows: the request
+  // must be rejected before any sub is issued, so nothing is left in flight
+  // under a join that can never complete.
+  for (const IoOp op : {IoOp::kRead, IoOp::kWrite}) {
+    sim::Simulator sim;
+    Cluster cluster(sim, small_cluster_config());
+    auto layout = make_fixed_layout(cluster.num_servers() + 2, 64 * KiB);
+    bool done = false;
+    EXPECT_THROW(cluster.client(0).io(*layout, op, 0, 320 * KiB,
+                                      [&] { done = true; }),
+                 std::out_of_range);
+    sim.run();
+    EXPECT_EQ(sim.events_dispatched(), 0u);
+    EXPECT_FALSE(done);
+    for (std::size_t i = 0; i < cluster.num_servers(); ++i) {
+      EXPECT_EQ(cluster.server(i).requests_served(), 0u);
+    }
+  }
+}
+
+TEST(Client, UnknownReplicaTargetThrowsBeforeIssuingAnything) {
+  // The replica map chains over five servers but the cluster has three:
+  // the third sub's replica lands on server 3.  The write must be rejected
+  // whole, with no leg issued and no replica write counted.
+  sim::Simulator sim;
+  Cluster cluster(sim, small_cluster_config());
+  auto layout = make_fixed_layout(cluster.num_servers(), 64 * KiB);
+  const ReplicaMap replicas = ReplicaMap::chained(cluster.num_servers() + 2);
+  EXPECT_THROW(cluster.client(0).io(*layout, IoOp::kWrite, 0, 192 * KiB,
+                                    [] {}, obs::kNoId, &replicas),
+               std::out_of_range);
+  sim.run();
+  EXPECT_EQ(sim.events_dispatched(), 0u);
+  EXPECT_EQ(cluster.client(0).replica_writes(), 0u);
 }
 
 TEST(Cluster, ServerIoTimeIncludesNic) {

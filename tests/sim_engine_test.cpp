@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/sim/inline_task.hpp"
-#include "src/sim/pdes.hpp"
 #include "src/sim/resource.hpp"
 #include "src/sim/simulator.hpp"
 
@@ -159,7 +158,7 @@ TEST(SimulatorProperty, DispatchOrderMatchesReferenceModel) {
     std::uniform_real_distribution<double> jitter(0.0, 4.0);
     std::uniform_int_distribution<int> action(0, 9);
 
-    const auto schedule_one = [&] {
+    const auto schedule_next = [&] {
       double t;
       switch (action(rng)) {
         case 0:
@@ -180,7 +179,7 @@ TEST(SimulatorProperty, DispatchOrderMatchesReferenceModel) {
 
     for (int round = 0; round < 400; ++round) {
       const int burst = action(rng);
-      for (int i = 0; i < burst; ++i) schedule_one();
+      for (int i = 0; i < burst; ++i) schedule_next();
       // Drain a random prefix so scheduling interleaves with dispatching at
       // many different `now` values.
       const int drain = action(rng);
@@ -368,255 +367,6 @@ TEST(SimulatorGuards, NegativeZeroDelayIsZeroDelay) {
   sim.run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.stats().now_lane_events, 1u);
-}
-
-// --- conservative PDES ------------------------------------------------------
-
-/// splitmix64-style mixer: the deterministic "randomness" of the PDES
-/// property workload, so every engine replays the identical event tree.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-/// A randomized cross-LP workload: root events seeded onto every LP, each
-/// event spawning 0-2 children on hash-chosen LPs.  Cross-LP children are
-/// delayed by at least the lookahead (the contract the PFS model satisfies
-/// via network latency / per-stripe overhead); same-LP children may be
-/// arbitrarily close.  Delays carry 53 bits of hash entropy so absolute
-/// times are distinct and the total order is time order alone — comparable
-/// across the sequential engine, the PDES runtime at any width, and a plain
-/// priority-queue reference.
-struct PdesScript {
-  static constexpr std::uint32_t kLps = 5;
-  static constexpr double kW = 0.25;  // lookahead
-  static constexpr int kRoots = 24;
-  static constexpr int kMaxDepth = 6;
-
-  std::uint64_t seed = 0;
-
-  struct Child {
-    std::uint32_t lp;
-    double time;
-    std::uint64_t id;
-  };
-
-  std::vector<Child> children_of(std::uint32_t lp, double t,
-                                 std::uint64_t id, int depth) const {
-    std::vector<Child> out;
-    if (depth >= kMaxDepth) return out;
-    const std::uint64_t h = mix(seed ^ id);
-    const int n = static_cast<int>(h % 3);
-    for (int c = 0; c < n; ++c) {
-      const std::uint64_t hc = mix(h + static_cast<std::uint64_t>(c) + 1);
-      const std::uint32_t target = static_cast<std::uint32_t>(hc % kLps);
-      const double frac =
-          static_cast<double>(hc >> 11) * 0x1.0p-53;  // [0, 1), 53 bits
-      const double delay =
-          target == lp ? kW * 0.5 * frac : kW * (1.0 + frac);
-      out.push_back(Child{target, t + delay, id * 4 + 1 + c});
-    }
-    return out;
-  }
-
-  std::vector<Child> roots() const {
-    std::vector<Child> out;
-    for (int i = 0; i < kRoots; ++i) {
-      const std::uint64_t h = mix(seed + 1000 + static_cast<std::uint64_t>(i));
-      const auto lp = static_cast<std::uint32_t>(h % kLps);
-      const double t = static_cast<double>(h >> 11) * 0x1.0p-53;
-      out.push_back(Child{lp, t, static_cast<std::uint64_t>(i + 1) << 40});
-    }
-    return out;
-  }
-};
-
-/// Per-LP dispatch logs: each LP appends only its own vector, so recording
-/// is race-free at any worker count.
-using PerLpLog = std::vector<std::vector<std::pair<double, std::uint64_t>>>;
-
-/// Runs the script on a Simulator; `threads` == 0 uses the sequential
-/// engine (schedule_on degrades to schedule_at), >= 1 attaches a PDES
-/// runtime at that width.  Returns the per-LP dispatch logs and the stats.
-PerLpLog run_script(const PdesScript& script, unsigned threads,
-                    Simulator::Stats* stats_out = nullptr) {
-  Simulator sim;
-  std::unique_ptr<pdes::Runtime> rt;
-  if (threads >= 1) {
-    pdes::Runtime::Options opt;
-    opt.threads = threads;
-    opt.lookahead = PdesScript::kW;
-    rt = std::make_unique<pdes::Runtime>(PdesScript::kLps, opt);
-    sim.attach_pdes(rt.get());
-  }
-  PerLpLog log(PdesScript::kLps);
-  std::function<void(PdesScript::Child, int)> spawn =
-      [&](PdesScript::Child c, int depth) {
-        sim.schedule_on(c.lp, c.time, [&, c, depth] {
-          log[c.lp].emplace_back(c.time, c.id);
-          for (const auto& child : script.children_of(c.lp, c.time, c.id,
-                                                      depth)) {
-            spawn(child, depth + 1);
-          }
-        });
-      };
-  for (const auto& root : script.roots()) spawn(root, 0);
-  sim.run();
-  EXPECT_TRUE(sim.idle());
-  if (stats_out != nullptr) *stats_out = sim.stats();
-  return log;
-}
-
-/// Plain priority-queue reference over (time): valid because the script's
-/// absolute times are distinct.
-PerLpLog run_reference(const PdesScript& script) {
-  struct Entry {
-    PdesScript::Child c;
-    int depth;
-    bool operator>(const Entry& o) const { return c.time > o.c.time; }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-  for (const auto& root : script.roots()) queue.push(Entry{root, 0});
-  PerLpLog log(PdesScript::kLps);
-  while (!queue.empty()) {
-    const Entry e = queue.top();
-    queue.pop();
-    log[e.c.lp].emplace_back(e.c.time, e.c.id);
-    for (const auto& child :
-         script.children_of(e.c.lp, e.c.time, e.c.id, e.depth)) {
-      queue.push(Entry{child, e.depth + 1});
-    }
-  }
-  return log;
-}
-
-TEST(PdesProperty, CrossLpDispatchMatchesSequentialAndReference) {
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    PdesScript script;
-    script.seed = seed;
-    const PerLpLog reference = run_reference(script);
-    std::size_t total = 0;
-    for (const auto& lp : reference) total += lp.size();
-    ASSERT_GT(total, 50u) << "degenerate script, seed " << seed;
-
-    const PerLpLog sequential = run_script(script, 0);
-    EXPECT_EQ(sequential, reference) << "sequential engine, seed " << seed;
-
-    Simulator::Stats width1{};
-    const PerLpLog parallel1 = run_script(script, 1, &width1);
-    EXPECT_EQ(parallel1, reference) << "pdes width 1, seed " << seed;
-    EXPECT_EQ(width1.lookahead_violations, 0u);
-
-    for (unsigned threads : {2u, 3u}) {
-      Simulator::Stats stats{};
-      const PerLpLog parallel = run_script(script, threads, &stats);
-      EXPECT_EQ(parallel, parallel1) << "pdes width " << threads << ", seed "
-                                     << seed;
-      EXPECT_EQ(stats.lookahead_violations, 0u);
-      // Full engine counters — not just the dispatch order — must be
-      // width-invariant (the sorted mailbox drain makes lane routing and
-      // arena behaviour deterministic).
-      EXPECT_EQ(stats.events_dispatched, width1.events_dispatched);
-      EXPECT_EQ(stats.now_lane_events, width1.now_lane_events);
-      EXPECT_EQ(stats.ascending_events, width1.ascending_events);
-      EXPECT_EQ(stats.pool_hits, width1.pool_hits);
-      EXPECT_EQ(stats.pool_misses, width1.pool_misses);
-      EXPECT_EQ(stats.mailbox_enqueues, width1.mailbox_enqueues);
-      EXPECT_EQ(stats.window_stalls, width1.window_stalls);
-    }
-  }
-}
-
-TEST(PdesRuntime, RunUntilStopsAtTheLimitAndResumes) {
-  pdes::Runtime::Options opt;
-  opt.threads = 2;
-  opt.lookahead = 0.5;
-  pdes::Runtime rt(3, opt);
-  Simulator sim;
-  sim.attach_pdes(&rt);
-  std::vector<int> order;
-  sim.schedule_on(1, 1.0, [&] { order.push_back(1); });
-  sim.schedule_on(2, 2.0, [&] { order.push_back(2); });
-  sim.schedule_on(1, 3.0, [&] { order.push_back(3); });
-  sim.run_until(2.0);
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_FALSE(sim.idle());
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_TRUE(sim.idle());
-  EXPECT_EQ(sim.events_dispatched(), 3u);
-}
-
-TEST(PdesRuntime, GuardsRejectBadArguments) {
-  pdes::Runtime::Options opt;
-  opt.threads = 1;
-  opt.lookahead = 0.0;  // no lookahead -> conservative windows cannot work
-  EXPECT_THROW(pdes::Runtime(2, opt), std::invalid_argument);
-  opt.lookahead = 0.1;
-  EXPECT_THROW(pdes::Runtime(0, opt), std::invalid_argument);
-
-  pdes::Runtime rt(2, opt);
-  Simulator sim;
-  sim.attach_pdes(&rt);
-  EXPECT_THROW(sim.schedule_on(7, 1.0, [] {}), std::out_of_range);
-  sim.schedule_on(1, 1.0, [] {});
-  sim.run();
-  EXPECT_THROW(sim.schedule_at(0.5, [] {}), std::invalid_argument);
-  // The sequential engine's parked-task arena is single-threaded; the PDES
-  // network path must use its chain closures instead.
-  EXPECT_THROW(sim.park([] {}), std::logic_error);
-}
-
-TEST(PdesRuntime, OffOwnerSubmitIsCountedAsViolation) {
-  pdes::Runtime::Options opt;
-  opt.threads = 1;
-  opt.lookahead = 0.5;
-  pdes::Runtime rt(2, opt);
-  Simulator sim;
-  sim.attach_pdes(&rt);
-  FifoResource queue(sim, "disk");
-  queue.set_lp(1);
-  int fired = 0;
-  // Submitted from app context (LP 0), owner is LP 1: flagged, not fatal.
-  queue.submit(1.0, [&] { ++fired; });
-  sim.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.stats().lookahead_violations, 1u);
-}
-
-TEST(PdesRuntime, WindowCapOnlyAddsWindows) {
-  PdesScript script;
-  script.seed = 42;
-  const PerLpLog reference = run_script(script, 1);
-
-  pdes::Runtime::Options opt;
-  opt.threads = 2;
-  opt.lookahead = PdesScript::kW;
-  opt.window_cap = PdesScript::kW / 8.0;  // narrower windows, same result
-  pdes::Runtime rt(PdesScript::kLps, opt);
-  EXPECT_DOUBLE_EQ(rt.window(), PdesScript::kW / 8.0);
-  Simulator sim;
-  sim.attach_pdes(&rt);
-  PerLpLog log(PdesScript::kLps);
-  std::function<void(PdesScript::Child, int)> spawn =
-      [&](PdesScript::Child c, int depth) {
-        sim.schedule_on(c.lp, c.time, [&, c, depth] {
-          log[c.lp].emplace_back(c.time, c.id);
-          for (const auto& child : script.children_of(c.lp, c.time, c.id,
-                                                      depth)) {
-            spawn(child, depth + 1);
-          }
-        });
-      };
-  for (const auto& root : script.roots()) spawn(root, 0);
-  sim.run();
-  EXPECT_EQ(log, reference);
-  EXPECT_EQ(sim.stats().lookahead_violations, 0u);
 }
 
 }  // namespace

@@ -138,39 +138,6 @@ def main():
 
     failures = []
 
-    # Conservative-PDES strong scaling: the same cluster replay at 0
-    # (sequential engine) / 1 / 2 / 4 / 8 sim workers.  The headline is the
-    # 8-worker speedup over the sequential engine; the per-width table and
-    # the 1-worker ratio (pure protocol overhead, no parallelism) go into
-    # the summary for CI history.  lookahead_violations is a correctness
-    # gate at every width: a conservative executor must never deliver into
-    # a closed window, regardless of how many cores the machine has.
-    try:
-        pdes = {
-            width: find_benchmark(results,
-                                  f"BM_PdesScaling/{width}/real_time")
-            for width in (0, 1, 2, 4, 8)
-        }
-    except KeyError:
-        pdes = None
-    if pdes is not None:
-        summary["pdes_rate_per_s"] = {
-            str(width): entry["items_per_second"]
-            for width, entry in pdes.items()
-        }
-        seq_rate = pdes[0]["items_per_second"]
-        summary["pdes_speedup_at_8_threads"] = (
-            pdes[8]["items_per_second"] / seq_rate)
-        summary["pdes_overhead_at_1_thread"] = (
-            pdes[1]["items_per_second"] / seq_rate)
-        for width, entry in pdes.items():
-            violations = entry.get("lookahead_violations", 0.0)
-            if violations:
-                failures.append(
-                    f"BM_PdesScaling/{width} reported {violations:.0f} "
-                    f"lookahead violations — the conservative window "
-                    f"protocol delivered an event into a closed window")
-
     num_cpus = results.get("context", {}).get("num_cpus", 0)
     summary["num_cpus"] = num_cpus
 
@@ -219,25 +186,6 @@ def main():
                     f"{summary['dispatch_rate_per_s']:.0f}/s is more than "
                     f"{max_obs_regression:.0%} below the recorded reference "
                     f"{obs_ref:.0f}/s")
-
-        # PDES scaling gate: on an 8-core (or wider) machine, sharding one
-        # run across 8 sim workers must beat the sequential engine by the
-        # recorded factor.  Skipped on narrower machines — there the extra
-        # widths are oversubscribed and measure futex round-trips, not the
-        # executor (the violation gate above still applies everywhere).
-        min_speedup = baseline.get("min_pdes_speedup_at_8_threads")
-        if (min_speedup is not None and pdes is not None
-                and "pdes_speedup_at_8_threads" in summary):
-            if num_cpus >= 8:
-                summary["pdes_speedup_gate"] = "enforced"
-                if summary["pdes_speedup_at_8_threads"] < min_speedup:
-                    failures.append(
-                        f"PDES speedup at 8 threads "
-                        f"{summary['pdes_speedup_at_8_threads']:.2f}x is "
-                        f"below the required {min_speedup:.2f}x")
-            else:
-                summary["pdes_speedup_gate"] = (
-                    f"skipped ({num_cpus} cpus < 8)")
 
     if args.hetero:
         with open(args.hetero, encoding="utf-8") as f:

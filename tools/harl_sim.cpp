@@ -138,13 +138,6 @@ constexpr OptionSpec kOptions[] = {
      "worker threads, 0 = serial          (0)\n"
      "parallelizes the planner's analysis AND the per-scheme\n"
      "measured runs; tables are bit-identical at any width"},
-    {"sim-threads",
-     "PDES workers per simulated run, 0 = sequential engine (0)\n"
-     "shards one run's event loop across server/NIC logical\n"
-     "processes (conservative windows, lookahead = min network\n"
-     "latency / per-stripe overhead); every output is\n"
-     "byte-identical at any width, including 0.  Composes with\n"
-     "threads= (across-run x within-run parallelism)"},
     {"stats", "1 = print per-scheme event-engine counters (0)"},
     {"save-plan",
      "path; write the first analysis-based scheme's Plan\n"
@@ -432,12 +425,6 @@ int main(int argc, char** argv) {
       options.planner.pool = pool.get();
       options.pool = pool.get();
     }
-
-    const long long sim_threads = cfg.get_int("sim-threads", 0);
-    if (sim_threads < 0 || sim_threads > 1024) {
-      throw std::invalid_argument("sim-threads must be in [0, 1024]");
-    }
-    options.sim_threads = static_cast<unsigned>(sim_threads);
 
     // Adaptive (harl-adaptive scheme) tuning.  The advisor reuses the
     // planner options — including the shared pool — so per-window
@@ -818,15 +805,6 @@ int main(int argc, char** argv) {
               << ", \"resplits\": " << c.resplits
               << ", \"clears\": " << c.clears << "}";
         }
-        if (options.sim_threads > 0) {
-          // PDES health of the measured run (obs_report.py --check asserts
-          // lookahead_violations == 0).
-          out << ", \"engine\": {\"sim_threads\": " << options.sim_threads
-              << ", \"mailbox_enqueues\": " << r.sim_stats.mailbox_enqueues
-              << ", \"window_stalls\": " << r.sim_stats.window_stalls
-              << ", \"lookahead_violations\": "
-              << r.sim_stats.lookahead_violations << "}";
-        }
         out << ", \"report\": ";
         r.obs->write_metrics_json(out, 4);
         out << "}";
@@ -941,8 +919,7 @@ int main(int argc, char** argv) {
       std::cout << "\n== event engine (measured runs) ==\n";
       harness::Table stats_table({"layout", "events", "peak queue", "now-lane",
                                   "ascending", "pool hit%", "chunks",
-                                  "inline", "spilled", "mailbox", "stalls",
-                                  "la-viol"});
+                                  "inline", "spilled"});
       for (const auto& r : results) {
         const auto& s = r.sim_stats;
         const std::uint64_t slots = s.pool_hits + s.pool_misses;
@@ -960,9 +937,6 @@ int main(int argc, char** argv) {
             std::to_string(s.pool_chunks),
             std::to_string(s.inline_callbacks),
             std::to_string(s.heap_callbacks),
-            std::to_string(s.mailbox_enqueues),
-            std::to_string(s.window_stalls),
-            std::to_string(s.lookahead_violations),
         });
       }
       stats_table.print(std::cout);
