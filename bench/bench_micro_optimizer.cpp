@@ -43,10 +43,15 @@ void BM_OptimizeRegion_StepSweep(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(optimize_region(p, reqs, 512.0 * KiB, opts));
   }
-  // Finer steps evaluate quadratically more candidates.
-  OptimizerOptions probe = opts;
-  state.counters["candidates"] = static_cast<double>(
-      optimize_region(p, reqs, 512.0 * KiB, probe).candidates_evaluated);
+  // Finer steps evaluate quadratically more candidates; the pruning
+  // counters show how many of them are abandoned as provable losers.
+  const RegionStripes probe = optimize_region(p, reqs, 512.0 * KiB, opts);
+  state.counters["candidates"] =
+      static_cast<double>(probe.candidates_evaluated);
+  state.counters["candidates_pruned"] =
+      static_cast<double>(probe.candidates_pruned);
+  state.counters["requests_skipped"] =
+      static_cast<double>(probe.requests_skipped);
 }
 BENCHMARK(BM_OptimizeRegion_StepSweep)
     ->Arg(4 * KiB)

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "src/common/divisor.hpp"
+
 namespace harl::core {
 
 namespace {
@@ -16,15 +18,17 @@ struct Endpoints {
 };
 
 Endpoints endpoints(Bytes o, Bytes r, StripePair hs, std::size_t M,
-                    std::size_t N) {
+                    const Divisor& by_period) {
   Endpoints ep;
   ep.Mh = static_cast<Bytes>(M) * hs.h;
-  ep.S = ep.Mh + static_cast<Bytes>(N) * hs.s;
+  ep.S = by_period.value();
   const Bytes e = o + r - 1;  // inclusive last byte
-  ep.dr = static_cast<std::int64_t>(e / ep.S) -
-          static_cast<std::int64_t>(o / ep.S);
-  ep.l_b = o % ep.S;
-  ep.l_e = e % ep.S;
+  const Bytes period_b = by_period.quotient(o);
+  const Bytes period_e = by_period.quotient(e);
+  ep.dr = static_cast<std::int64_t>(period_e) -
+          static_cast<std::int64_t>(period_b);
+  ep.l_b = o - period_b * ep.S;
+  ep.l_e = e - period_e * ep.S;
   return ep;
 }
 
@@ -114,7 +118,9 @@ void tier_closed_form(const TierAccess& a, std::size_t cols, Bytes stripe,
 Fig4Case classify_fig4(Bytes o, Bytes r, StripePair hs, std::size_t M,
                        std::size_t N) {
   validate(r, hs, M, N);
-  const Endpoints ep = endpoints(o, r, hs, M, N);
+  const Endpoints ep = endpoints(
+      o, r, hs, M,
+      Divisor(static_cast<Bytes>(M) * hs.h + static_cast<Bytes>(N) * hs.s));
   const bool begin_h = ep.l_b < ep.Mh;
   const bool end_h = ep.l_e < ep.Mh;
   if (begin_h && end_h) return Fig4Case::kA;
@@ -126,24 +132,36 @@ Fig4Case classify_fig4(Bytes o, Bytes r, StripePair hs, std::size_t M,
 SubreqGeometry closed_form_geometry(Bytes o, Bytes r, StripePair hs,
                                     std::size_t M, std::size_t N) {
   validate(r, hs, M, N);
-  const Endpoints ep = endpoints(o, r, hs, M, N);
+  return closed_form_geometry(
+      o, r, hs, M, N,
+      Divisor(static_cast<Bytes>(M) * hs.h + static_cast<Bytes>(N) * hs.s),
+      Divisor(hs.h), Divisor(hs.s));
+}
+
+SubreqGeometry closed_form_geometry(Bytes o, Bytes r, StripePair hs,
+                                    std::size_t M, std::size_t N,
+                                    const Divisor& by_period,
+                                    const Divisor& by_h, const Divisor& by_s) {
+  const Endpoints ep = endpoints(o, r, hs, M, by_period);
   const Bytes h = hs.h;
   const Bytes s = hs.s;
   const bool begin_h = ep.l_b < ep.Mh;
   const bool end_h = ep.l_e < ep.Mh;
   const auto dr = static_cast<Bytes>(ep.dr);
 
-  // Begin-side parameters in the begin tier.
-  const std::size_t col_b =
-      begin_h ? static_cast<std::size_t>(ep.l_b / h)
-              : static_cast<std::size_t>((ep.l_b - ep.Mh) / s);
-  const Bytes frag_b =
-      begin_h ? h - ep.l_b % h : s - (ep.l_b - ep.Mh) % s;
+  // Begin-side parameters in the begin tier: column and the fragment left
+  // in it.  `in_b` is the begin offset within the begin tier's area.
+  const Bytes in_b = begin_h ? ep.l_b : ep.l_b - ep.Mh;
+  const Bytes stripe_b = begin_h ? h : s;
+  const Bytes quot_b = (begin_h ? by_h : by_s).quotient(in_b);
+  const auto col_b = static_cast<std::size_t>(quot_b);
+  const Bytes frag_b = stripe_b - (in_b - quot_b * stripe_b);
   // End-side parameters (inclusive): fragment counts bytes *into* the stripe.
-  const std::size_t col_e =
-      end_h ? static_cast<std::size_t>(ep.l_e / h)
-            : static_cast<std::size_t>((ep.l_e - ep.Mh) / s);
-  const Bytes frag_e = end_h ? ep.l_e % h + 1 : (ep.l_e - ep.Mh) % s + 1;
+  const Bytes in_e = end_h ? ep.l_e : ep.l_e - ep.Mh;
+  const Bytes stripe_e = end_h ? h : s;
+  const Bytes quot_e = (end_h ? by_h : by_s).quotient(in_e);
+  const auto col_e = static_cast<std::size_t>(quot_e);
+  const Bytes frag_e = in_e - quot_e * stripe_e + 1;
 
   // Single-period span within one tier (cases a/d with dr == 0): the
   // additive begin+end model below would double-count the middle columns,

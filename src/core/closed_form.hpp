@@ -16,6 +16,7 @@
 // O(M+N) geometry over randomized sweeps of all four cases.
 #pragma once
 
+#include "src/common/divisor.hpp"
 #include "src/core/cost_model.hpp"
 
 namespace harl::core {
@@ -32,5 +33,15 @@ Fig4Case classify_fig4(Bytes o, Bytes r, StripePair hs, std::size_t M,
 /// Same preconditions as classify_fig4; throws std::invalid_argument.
 SubreqGeometry closed_form_geometry(Bytes o, Bytes r, StripePair hs,
                                     std::size_t M, std::size_t N);
+
+/// The same geometry with the layout's divisors hoisted: `by_period`,
+/// `by_h` and `by_s` divide by S = M*h + N*s, h and s (common/divisor.hpp),
+/// so a caller scoring many requests against one layout builds them once
+/// and pays no hardware divide per request.  Unchecked: the caller
+/// guarantees the preconditions above.  The checked overload forwards here.
+SubreqGeometry closed_form_geometry(Bytes o, Bytes r, StripePair hs,
+                                    std::size_t M, std::size_t N,
+                                    const Divisor& by_period,
+                                    const Divisor& by_h, const Divisor& by_s);
 
 }  // namespace harl::core

@@ -20,6 +20,13 @@
 // chosen stripes, tie-breaks included — are bit-identical to the
 // brute-force path.  That is what lets coalescing be on by default and lets
 // tests assert exact plan equality.
+//
+// Accounting: misses() counts kernel evaluations (the optimizer's
+// cost_evals) and hits() the lookups served from the table
+// (cost_evals_saved).  The optimizer may abandon a candidate part-way once
+// it provably loses (stripe_optimizer.hpp); the requests it then never
+// looks up are its requests_skipped, so per search
+//   misses + hits + requests_skipped == candidates * sampled requests.
 #pragma once
 
 #include <cstddef>
@@ -83,7 +90,7 @@ class CostMemo {
 
   /// Classes scored (one request_cost evaluation each).
   std::uint64_t misses() const { return misses_; }
-  /// Requests served from the cache (evaluations saved vs brute force).
+  /// Lookups served from the cache (evaluations saved vs brute force).
   std::uint64_t hits() const { return hits_; }
 
  private:

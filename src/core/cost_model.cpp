@@ -72,7 +72,7 @@ SubreqGeometry request_geometry(Bytes o, Bytes r, StripePair hs, std::size_t M,
   const std::size_t counts[2] = {M, N};
   const Bytes stripes[2] = {hs.h, hs.s};
   TierGeometry out[2];
-  tiered_geometry_into(o, r, counts, stripes, out);
+  tiered_geometry_into(o, r, TierLayout(counts, stripes), out);
   return SubreqGeometry{out[0].max_bytes, out[1].max_bytes, out[0].touched,
                         out[1].touched};
 }
@@ -213,9 +213,9 @@ Seconds request_cost(const CostParams& params, IoOp op, Bytes offset,
   const storage::OpProfile* profs[2];
   select_profiles(params, op, profs);
   TierGeometry scratch[2];
-  return tiered_cost_kernel(counts, profs, params.t, params.net_latency,
-                            params.net_hops, params.per_stripe_overhead,
-                            offset, size, stripes, scratch);
+  return tiered_cost_kernel(TierLayout(counts, stripes), profs, params.t,
+                            params.net_latency, params.net_hops,
+                            params.per_stripe_overhead, offset, size, scratch);
 }
 
 }  // namespace harl::core

@@ -63,6 +63,8 @@ PlannedRegion planned_from(const DividedRegion& region,
   planned.candidates_evaluated = opt.candidates_evaluated;
   planned.cost_evals = opt.cost_evals;
   planned.cost_evals_saved = opt.cost_evals_saved;
+  planned.candidates_pruned = opt.candidates_pruned;
+  planned.requests_skipped = opt.requests_skipped;
   return planned;
 }
 
@@ -152,6 +154,13 @@ std::uint64_t Plan::total_cost_evals_saved() const {
   return std::accumulate(regions.begin(), regions.end(), std::uint64_t{0},
                          [](std::uint64_t acc, const PlannedRegion& r) {
                            return acc + r.cost_evals_saved;
+                         });
+}
+
+std::uint64_t Plan::total_requests_skipped() const {
+  return std::accumulate(regions.begin(), regions.end(), std::uint64_t{0},
+                         [](std::uint64_t acc, const PlannedRegion& r) {
+                           return acc + r.requests_skipped;
                          });
 }
 
@@ -611,6 +620,10 @@ Plan analyze_carl(std::span<const trace::TraceRecord> records,
         carl[i].hdd_only.cost_evals + carl[i].ssd_only.cost_evals;
     planned.cost_evals_saved = carl[i].hdd_only.cost_evals_saved +
                                carl[i].ssd_only.cost_evals_saved;
+    planned.candidates_pruned = carl[i].hdd_only.candidates_pruned +
+                                carl[i].ssd_only.candidates_pruned;
+    planned.requests_skipped = carl[i].hdd_only.requests_skipped +
+                               carl[i].ssd_only.requests_skipped;
     plan.regions.push_back(planned);
     plan.rst.add(planned.offset, planned.stripes, planned.members);
   }
@@ -666,6 +679,8 @@ Plan analyze_tiered(std::span<const trace::TraceRecord> records,
     planned.candidates_evaluated = optimized[i].candidates_evaluated;
     planned.cost_evals = optimized[i].cost_evals;
     planned.cost_evals_saved = optimized[i].cost_evals_saved;
+    planned.candidates_pruned = optimized[i].candidates_pruned;
+    planned.requests_skipped = optimized[i].requests_skipped;
     plan.regions.push_back(std::move(planned));
     plan.rst.add(region.offset, optimized[i].stripes, optimized[i].members);
   }

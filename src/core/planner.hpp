@@ -76,6 +76,8 @@ struct PlannedRegion {
   std::size_t candidates_evaluated = 0;  ///< Algorithm 2 grid size
   std::uint64_t cost_evals = 0;          ///< cost-kernel calls made
   std::uint64_t cost_evals_saved = 0;    ///< calls avoided by coalescing
+  std::size_t candidates_pruned = 0;     ///< abandoned as provable losers
+  std::uint64_t requests_skipped = 0;    ///< requests they never scored
   /// Estimated read chunk hit rate under the planned cache reservation
   /// (0.0 for cache-less plans); see analyze_cached.
   double expected_hit_rate = 0.0;
@@ -109,6 +111,7 @@ struct Plan {
   /// Aggregated Algorithm 2 effort across regions, for perf diagnostics.
   std::uint64_t total_cost_evals() const;
   std::uint64_t total_cost_evals_saved() const;
+  std::uint64_t total_requests_skipped() const;
 };
 
 /// Runs the Analysis Phase over `records` (any order; input already in

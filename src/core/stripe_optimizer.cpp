@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -22,10 +23,24 @@ Bytes round_up(Bytes value, Bytes step) {
   return (value + step - 1) / step * step;
 }
 
-/// One candidate layout: a per-tier stripe vector, optionally restricted to
-/// the `members[j]` fastest devices of each tier (empty = full membership,
-/// the only form the homogeneous search produces).
-struct CandidateSpec {
+/// The candidate layouts, flattened into one array per field: candidate i
+/// is the per-tier stripe vector stripes[i*k, (i+1)*k), restricted to the
+/// members[i*k + j] fastest devices of each tier j.  `members` stays empty
+/// when no candidate restricts membership (full membership, the only form
+/// the homogeneous search produces).
+struct CandidateGrid {
+  explicit CandidateGrid(std::size_t tiers) : k(tiers) {}
+
+  std::size_t size() const { return stripes.size() / k; }
+  std::span<const Bytes> stripes_of(std::size_t i) const {
+    return {stripes.data() + i * k, k};
+  }
+  std::span<const std::size_t> members_of(std::size_t i) const {
+    if (members.empty()) return {};
+    return {members.data() + i * k, k};
+  }
+
+  std::size_t k;
   std::vector<Bytes> stripes;
   std::vector<std::size_t> members;
 };
@@ -97,8 +112,7 @@ std::vector<std::size_t> member_choices(const TierSpec& tier) {
 /// with stripe 0 contribute the single choice 0) and appends the product to
 /// `out`, last tier varying fastest.
 void cross_member_choices(const TieredCostParams& params,
-                          const std::vector<Bytes>& stripes,
-                          std::vector<CandidateSpec>& out) {
+                          std::span<const Bytes> stripes, CandidateGrid& out) {
   const std::size_t k = params.tiers.size();
   std::vector<std::vector<std::size_t>> per_tier(k);
   std::size_t total = 1;
@@ -108,15 +122,15 @@ void cross_member_choices(const TieredCostParams& params,
     total *= per_tier[j].size();
   }
   for (std::size_t n = 0; n < total; ++n) {
-    CandidateSpec c;
-    c.stripes = stripes;
-    c.members.resize(k);
+    out.stripes.insert(out.stripes.end(), stripes.begin(), stripes.end());
+    out.members.resize(out.members.size() + k);
+    const auto members = out.members.end() - static_cast<std::ptrdiff_t>(k);
     std::size_t rem = n;
     for (std::size_t j = k; j-- > 0;) {
-      c.members[j] = per_tier[j][rem % per_tier[j].size()];
+      members[static_cast<std::ptrdiff_t>(j)] =
+          per_tier[j][rem % per_tier[j].size()];
       rem /= per_tier[j].size();
     }
-    out.push_back(std::move(c));
   }
 }
 
@@ -162,19 +176,75 @@ struct EngineResult {
   std::size_t candidates_evaluated = 0;
   std::uint64_t cost_evals = 0;
   std::uint64_t cost_evals_saved = 0;
+  std::size_t candidates_pruned = 0;
+  std::uint64_t requests_skipped = 0;
 };
+
+/// True when no cost parameter is negative (or NaN), so every request cost
+/// is >= 0 — the premise that makes abandoning a candidate exact.
+bool nonnegative_costs(const TieredCostParams& params) {
+  auto ok = [](double v) { return v >= 0.0; };
+  if (!ok(params.t) || !ok(params.net_latency) || params.net_hops < 0 ||
+      !ok(params.per_stripe_overhead)) {
+    return false;
+  }
+  for (const TierSpec& tier : params.tiers) {
+    for (IoOp op : {IoOp::kRead, IoOp::kWrite}) {
+      const storage::OpProfile& p = tier.profile.op(op);
+      if (!ok(p.startup_min) || !ok(p.startup_max) || !ok(p.per_byte)) {
+        return false;
+      }
+    }
+    for (double f : tier.device_factors) {
+      if (!ok(f)) return false;
+    }
+  }
+  return true;
+}
+
+/// The (op, size) classes of the sampled requests, in first-seen order, and
+/// each sampled request's class index.  A class's cost floor depends only
+/// on (op, size), so the engine computes it once per candidate per class.
+struct RequestClasses {
+  struct Class {
+    IoOp op = IoOp::kRead;
+    Bytes size = 0;
+    std::uint64_t count = 0;  ///< sampled requests in the class
+  };
+  std::vector<Class> classes;
+  std::vector<std::uint32_t> class_of;  ///< per sampled request
+};
+
+RequestClasses request_classes(std::span<const FileRequest> requests,
+                               std::size_t stride) {
+  RequestClasses out;
+  std::map<std::pair<IoOp, Bytes>, std::uint32_t> index;
+  for (std::size_t i = 0; i < requests.size(); i += stride) {
+    const FileRequest& req = requests[i];
+    const auto [it, fresh] = index.try_emplace(
+        {req.op, req.size}, static_cast<std::uint32_t>(out.classes.size()));
+    if (fresh) out.classes.push_back({req.op, req.size, 0});
+    ++out.classes[it->second].count;
+    out.class_of.push_back(it->second);
+  }
+  return out;
+}
 
 /// The one search engine both public APIs feed: scores every candidate
 /// stripe vector against the k-tier cost kernel, sharded over the candidate
 /// list when a pool is provided.  Pre-selects per-op profile pointers once
 /// so the hot loop pays no per-request branching beyond the op pick, and
-/// reuses per-shard TierGeometry scratch so scoring never allocates.
-/// Heterogeneous params route through the device-aware kernel with each
-/// candidate's worst-member factors; homogeneous params take the original
-/// kernel with the original memo keying, bit for bit.
+/// reuses per-shard scratch (layout, geometry, floors) so scoring never
+/// allocates.  Heterogeneous params route through the device-aware kernel
+/// with each candidate's worst-member factors; homogeneous params take the
+/// original kernel with the original memo keying, bit for bit.
+///
+/// Scoring stops as soon as a candidate provably loses to the incumbent
+/// (the best candidate scored so far by this shard); see the header for
+/// why that never changes an output bit.
 EngineResult search_engine(const TieredCostParams& params,
                            std::span<const FileRequest> requests,
-                           const std::vector<CandidateSpec>& candidates,
+                           const CandidateGrid& candidates,
                            std::size_t max_requests, ThreadPool* pool,
                            bool coalesce, bool tie_from_front,
                            CostMemo* scratch = nullptr) {
@@ -192,88 +262,161 @@ EngineResult search_engine(const TieredCostParams& params,
 
   const std::size_t stride = sample_stride(requests.size(), max_requests);
   const std::size_t sampled = (requests.size() + stride - 1) / stride;
+  const RequestClasses classes = request_classes(requests, stride);
+  const double n_requests = static_cast<double>(requests.size());
+  const double n_sampled = static_cast<double>(sampled);
+  // With a negative parameter a partial sum could still fall, so nothing
+  // is ever abandoned (an infinite incumbent never loses a comparison).
+  const bool prunable = nonnegative_costs(params);
+  // Relative slack of the floor test: covers the rounding of the floor
+  // sums and of the scaling, which grows with the sampled count (7e-12 at
+  // 4096 requests; it passes 1e-9 only past ~560k sampled requests).
+  const double margin =
+      std::max(1e-9, 8.0 * (n_sampled + 2.0) *
+                         std::numeric_limits<double>::epsilon());
 
-  // Scores one candidate.  With coalescing, `memo` caches the kernel per
-  // (op, size, offset mod S) class; requests are still accumulated in their
-  // original order with identical values, so the total is bit-identical to
-  // the brute-force sum (see cost_memo.hpp).  The memo context carries the
-  // candidate's member selection so equal-period candidates with different
-  // member sets never share classes.  Scaled back to the full region so
-  // reported costs are comparable regardless of sampling.
-  auto score = [&](const CandidateSpec& cand, CostMemo* memo,
-                   std::span<TierGeometry> scratch,
-                   std::span<double> factors) {
-    const std::span<const Bytes> stripes{cand.stripes};
+  struct Scratch {
+    TierLayout layout;
+    std::vector<TierGeometry> geometry;
+    std::vector<double> factors;
+    std::vector<Seconds> floors;  ///< per request class
+    std::size_t pruned = 0;
+    std::uint64_t skipped = 0;
+  };
+  auto make_scratch = [&] {
+    Scratch s;
+    s.geometry.resize(k);
+    s.factors.assign(k, 1.0);
+    s.floors.resize(classes.classes.size());
+    return s;
+  };
+
+  // Scores one candidate into `cost`, or returns false once it provably
+  // costs more than `incumbent`.  With coalescing, `memo` caches the kernel
+  // per (op, size, offset mod S) class; requests are still accumulated in
+  // their original order with identical values, so the total is
+  // bit-identical to the brute-force sum (see cost_memo.hpp).  The memo
+  // context carries the candidate's member selection so equal-period
+  // candidates with different member sets never share classes.  Scaled
+  // back to the full region so reported costs are comparable regardless of
+  // sampling.
+  auto score = [&](std::size_t cand, Seconds incumbent, CostMemo* memo,
+                   Scratch& s, Seconds& cost) {
+    if (!prunable) incumbent = std::numeric_limits<Seconds>::infinity();
+    const std::span<const std::size_t> members = candidates.members_of(cand);
     const std::span<const std::size_t> use =
-        cand.members.empty() ? std::span<const std::size_t>{counts}
-                             : std::span<const std::size_t>{cand.members};
+        members.empty() ? std::span<const std::size_t>{counts} : members;
+    s.layout.assign(use, candidates.stripes_of(cand));
     if (heterogeneous) {
       for (std::size_t j = 0; j < k; ++j) {
-        factors[j] = storage::worst_device_factor(
+        s.factors[j] = storage::worst_device_factor(
             params.tiers[j].device_factors, use[j]);
       }
     }
+    auto profiles_for =
+        [&](IoOp op) -> const std::vector<const storage::OpProfile*>& {
+      return op == IoOp::kRead ? read_profiles : write_profiles;
+    };
+
+    // Floor of the requests not yet scored; the candidate is abandoned
+    // once partial + floor exceeds the incumbent by the margin.
+    Seconds remaining = 0.0;
+    for (std::size_t c = 0; c < classes.classes.size(); ++c) {
+      const RequestClasses::Class& cls = classes.classes[c];
+      s.floors[c] = tiered_cost_floor(
+          s.layout, profiles_for(cls.op), s.factors, params.t,
+          params.net_latency, params.net_hops, params.per_stripe_overhead,
+          cls.size);
+      remaining += s.floors[c] * static_cast<double>(cls.count);
+    }
+    const Seconds limit = incumbent * (1.0 + margin) * n_sampled / n_requests;
+    if (remaining > limit) {
+      ++s.pruned;
+      s.skipped += sampled;
+      return false;
+    }
+
     auto eval = [&](const FileRequest& req, Bytes offset) {
-      const auto& profiles =
-          req.op == IoOp::kRead ? read_profiles : write_profiles;
       if (heterogeneous) {
         return tiered_cost_kernel_devices(
-            use, profiles, factors, params.t, params.net_latency,
-            params.net_hops, params.per_stripe_overhead, offset, req.size,
-            stripes, scratch);
+            s.layout, profiles_for(req.op), s.factors, params.t,
+            params.net_latency, params.net_hops, params.per_stripe_overhead,
+            offset, req.size, s.geometry);
       }
-      return tiered_cost_kernel(use, profiles, params.t, params.net_latency,
-                                params.net_hops, params.per_stripe_overhead,
-                                offset, req.size, stripes, scratch);
+      return tiered_cost_kernel(s.layout, profiles_for(req.op), params.t,
+                                params.net_latency, params.net_hops,
+                                params.per_stripe_overhead, offset, req.size,
+                                s.geometry);
     };
+    if (memo != nullptr) memo->reset(sampled, members_context(members));
     Seconds total = 0.0;
-    if (memo != nullptr) {
-      Bytes S = 0;
-      for (std::size_t j = 0; j < k; ++j) {
-        S += static_cast<Bytes>(use[j]) * stripes[j];
-      }
-      memo->reset(sampled, members_context(cand.members));
-      for (std::size_t i = 0; i < requests.size(); i += stride) {
-        const FileRequest& req = requests[i];
-        total += memo->cost(req.op, req.size, req.offset % S,
+    for (std::size_t i = 0, scored = 0; i < requests.size();
+         i += stride, ++scored) {
+      const FileRequest& req = requests[i];
+      if (memo != nullptr) {
+        total += memo->cost(req.op, req.size,
+                            s.layout.by_period().remainder(req.offset),
                             [&](Bytes residue) { return eval(req, residue); });
-      }
-    } else {
-      for (std::size_t i = 0; i < requests.size(); i += stride) {
-        const FileRequest& req = requests[i];
+      } else {
         total += eval(req, req.offset);
       }
+      remaining -= s.floors[classes.class_of[scored]];
+      // The second test is the final scaling itself: costs are >= 0 and
+      // rounding is monotone, so the full total can only be larger.
+      if (total + remaining > limit ||
+          total * n_requests / n_sampled > incumbent) {
+        ++s.pruned;
+        s.skipped += sampled - scored - 1;
+        return false;
+      }
     }
-    return total * static_cast<double>(requests.size()) /
-           static_cast<double>(sampled);
+    cost = total * n_requests / n_sampled;
+    return true;
+  };
+
+  // Makes fully scored candidate i the incumbent when it wins the total
+  // order.
+  auto offer = [&](Candidate& incumbent, Seconds cost, std::size_t i) {
+    const std::span<const Bytes> stripes = candidates.stripes_of(i);
+    const std::span<const std::size_t> members = candidates.members_of(i);
+    Candidate c{cost, {stripes.begin(), stripes.end()},
+                {members.begin(), members.end()}};
+    if (c.better_than(incumbent, tie_from_front)) incumbent = std::move(c);
   };
 
   Candidate best;
   std::uint64_t cost_evals = 0;
   std::uint64_t cost_evals_saved = 0;
+  std::size_t candidates_pruned = 0;
+  std::uint64_t requests_skipped = 0;
   if (pool != nullptr && candidates.size() > 1) {
     const std::size_t shards =
         std::min(pool->thread_count() * 4, candidates.size());
     std::vector<Candidate> shard_best(shards);
     std::vector<std::uint64_t> shard_evals(shards, 0);
     std::vector<std::uint64_t> shard_saved(shards, 0);
+    std::vector<std::size_t> shard_pruned(shards, 0);
+    std::vector<std::uint64_t> shard_skipped(shards, 0);
     pool->parallel_for(shards, [&](std::size_t shard) {
+      // The incumbent is shard-local, so what a shard prunes (and thus
+      // every counter) depends only on the pool width, not the schedule.
       Candidate local;
       CostMemo memo;  // per-shard scratch, reused across candidates
-      std::vector<TierGeometry> scratch(k);
-      std::vector<double> factors(k);
+      Scratch s = make_scratch();
+      std::size_t scored = 0;
       for (std::size_t i = shard; i < candidates.size(); i += shards) {
-        Candidate c{score(candidates[i], coalesce ? &memo : nullptr, scratch,
-                          factors),
-                    candidates[i].stripes, candidates[i].members};
-        if (c.better_than(local, tie_from_front)) local = std::move(c);
+        ++scored;
+        Seconds cost = 0.0;
+        if (score(i, local.cost, coalesce ? &memo : nullptr, s, cost)) {
+          offer(local, cost, i);
+        }
       }
       shard_best[shard] = std::move(local);
-      shard_evals[shard] = coalesce ? memo.misses()
-                                    : (candidates.size() / shards +
-                                       (shard < candidates.size() % shards)) *
-                                          sampled;
+      shard_evals[shard] =
+          coalesce ? memo.misses() : scored * sampled - s.skipped;
       shard_saved[shard] = memo.hits();
+      shard_pruned[shard] = s.pruned;
+      shard_skipped[shard] = s.skipped;
     });
     for (std::size_t shard = 0; shard < shards; ++shard) {
       if (shard_best[shard].better_than(best, tie_from_front)) {
@@ -281,6 +424,8 @@ EngineResult search_engine(const TieredCostParams& params,
       }
       cost_evals += shard_evals[shard];
       cost_evals_saved += shard_saved[shard];
+      candidates_pruned += shard_pruned[shard];
+      requests_skipped += shard_skipped[shard];
     }
   } else {
     // A caller-provided scratch memo keeps its table capacity across calls;
@@ -289,16 +434,18 @@ EngineResult search_engine(const TieredCostParams& params,
     CostMemo& memo = scratch != nullptr ? *scratch : local;
     const std::uint64_t misses_before = memo.misses();
     const std::uint64_t hits_before = memo.hits();
-    std::vector<TierGeometry> geometry(k);
-    std::vector<double> factors(k);
-    for (const auto& cand : candidates) {
-      Candidate c{score(cand, coalesce ? &memo : nullptr, geometry, factors),
-                  cand.stripes, cand.members};
-      if (c.better_than(best, tie_from_front)) best = std::move(c);
+    Scratch s = make_scratch();
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      Seconds cost = 0.0;
+      if (score(i, best.cost, coalesce ? &memo : nullptr, s, cost)) {
+        offer(best, cost, i);
+      }
     }
     cost_evals = coalesce ? memo.misses() - misses_before
-                          : candidates.size() * sampled;
+                          : candidates.size() * sampled - s.skipped;
     cost_evals_saved = memo.hits() - hits_before;
+    candidates_pruned = s.pruned;
+    requests_skipped = s.skipped;
   }
 
   EngineResult result;
@@ -308,6 +455,8 @@ EngineResult search_engine(const TieredCostParams& params,
   result.candidates_evaluated = candidates.size();
   result.cost_evals = cost_evals;
   result.cost_evals_saved = cost_evals_saved;
+  result.candidates_pruned = candidates_pruned;
+  result.requests_skipped = requests_skipped;
   return result;
 }
 
@@ -382,13 +531,14 @@ RegionStripes search(const CostParams& params,
   const TieredCostParams tiered = to_tiered(params);
   const bool heterogeneous = !tiered.tiers[0].device_factors.empty() ||
                              !tiered.tiers[1].device_factors.empty();
-  std::vector<CandidateSpec> vectors;
-  vectors.reserve(candidates.size());
+  CandidateGrid vectors(2);
+  vectors.stripes.reserve(2 * candidates.size());
   for (const auto& hs : candidates) {
+    const Bytes pair[2] = {hs.h, hs.s};
     if (heterogeneous) {
-      cross_member_choices(tiered, {hs.h, hs.s}, vectors);
+      cross_member_choices(tiered, pair, vectors);
     } else {
-      vectors.push_back(CandidateSpec{{hs.h, hs.s}, {}});
+      vectors.stripes.insert(vectors.stripes.end(), pair, pair + 2);
     }
   }
   EngineResult engine = search_engine(
@@ -402,6 +552,8 @@ RegionStripes search(const CostParams& params,
   result.candidates_evaluated = engine.candidates_evaluated;
   result.cost_evals = engine.cost_evals;
   result.cost_evals_saved = engine.cost_evals_saved;
+  result.candidates_pruned = engine.candidates_pruned;
+  result.requests_skipped = engine.requests_skipped;
   return result;
 }
 
@@ -477,7 +629,7 @@ TieredRegionStripes optimize_region_tiered(
   for (const auto& t : params.tiers) {
     if (!t.device_factors.empty()) heterogeneous = true;
   }
-  std::vector<CandidateSpec> candidates;
+  CandidateGrid candidates(k);
   {
     std::vector<Bytes> stripes(k, 0);
     enumerate(stripes, 0, R, step, options.monotone,
@@ -485,11 +637,12 @@ TieredRegionStripes optimize_region_tiered(
                 if (heterogeneous) {
                   cross_member_choices(params, s, candidates);
                 } else {
-                  candidates.push_back(CandidateSpec{s, {}});
+                  candidates.stripes.insert(candidates.stripes.end(),
+                                            s.begin(), s.end());
                 }
               });
   }
-  if (candidates.empty()) throw std::logic_error("no tiered candidates");
+  if (candidates.size() == 0) throw std::logic_error("no tiered candidates");
 
   EngineResult engine =
       search_engine(params, requests, candidates, options.max_requests,
@@ -502,6 +655,8 @@ TieredRegionStripes optimize_region_tiered(
   result.candidates_evaluated = engine.candidates_evaluated;
   result.cost_evals = engine.cost_evals;
   result.cost_evals_saved = engine.cost_evals_saved;
+  result.candidates_pruned = engine.candidates_pruned;
+  result.requests_skipped = engine.requests_skipped;
   return result;
 }
 

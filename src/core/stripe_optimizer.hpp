@@ -37,6 +37,33 @@
 // the trace is huge, and request-class coalescing (cost_memo.hpp) collapses
 // same-class requests to one cost evaluation per candidate without changing
 // a single output bit.
+//
+// Early abandon.  Every candidate's requests are scored in order against
+// the incumbent (the best candidate scored so far), and scoring stops once
+// the candidate provably costs strictly more — again without changing an
+// output bit:
+//  * Partial sums.  Request costs are >= 0 and round-to-nearest addition
+//    and multiplication are monotone, so once the partial total, scaled by
+//    the very expression that scales the final total, exceeds the
+//    incumbent, the final total would too.  No epsilon.
+//  * Remaining-work floor.  tiered_cost_floor (tiered_cost_model.hpp) gives
+//    each (op, size) class an admissible per-request floor for the
+//    candidate; the candidate is abandoned once partial + the floors of the
+//    unscored requests exceed the incumbent by a relative margin of 1e-9
+//    (wider only past ~560k sampled requests), which covers every rounding
+//    in the floor sums.  The same test runs before the first request.
+//  * The winner is therefore always scored in full: its model_cost double
+//    and the tie-breaks are those of the exhaustive search.
+//  * Shards prune against their shard-local incumbent only (no shared
+//    atomic), so the counters repeat exactly at a given pool width.
+// candidates_evaluated stays the grid size; abandoned candidates are
+// counted in candidates_pruned and their unscored requests in
+// requests_skipped, so that
+//   cost_evals + cost_evals_saved + requests_skipped
+//       == candidates_evaluated * sampled requests.
+// Every per-request divide runs on divisors hoisted per candidate
+// (TierLayout), exact for every u64.  None of this has a switch: the
+// coalesce = false reference path prunes the same way.
 #pragma once
 
 #include <cstdint>
@@ -93,9 +120,16 @@ struct RegionStripes {
   /// Cost-kernel evaluations actually performed across all candidates.
   std::uint64_t cost_evals = 0;
   /// Evaluations avoided by request-class coalescing (cache hits); 0 when
-  /// coalescing is disabled.  cost_evals + cost_evals_saved == the work the
-  /// brute-force scorer would have done.
+  /// coalescing is disabled.
   std::uint64_t cost_evals_saved = 0;
+  /// Candidates abandoned before their last request was scored because
+  /// they provably lost (see the header comment); they still count in
+  /// candidates_evaluated, the grid size.
+  std::size_t candidates_pruned = 0;
+  /// Sampled requests those candidates never scored.  Exactly:
+  /// cost_evals + cost_evals_saved + requests_skipped ==
+  /// candidates_evaluated * (sampled requests per candidate).
+  std::uint64_t requests_skipped = 0;
 };
 
 /// Runs Algorithm 2.  `requests` are the region's file requests (any order);
@@ -144,6 +178,8 @@ struct TieredRegionStripes {
   std::size_t candidates_evaluated = 0;
   std::uint64_t cost_evals = 0;        ///< cost-kernel calls made
   std::uint64_t cost_evals_saved = 0;  ///< calls avoided by coalescing
+  std::size_t candidates_pruned = 0;   ///< abandoned as provable losers
+  std::uint64_t requests_skipped = 0;  ///< requests they never scored
 };
 
 /// Exhaustive grid search over per-tier stripes for one region.

@@ -38,11 +38,9 @@ void tier_geometry_inline(Bytes l_b, Bytes l_e, Bytes S, Bytes full_periods,
 
 }  // namespace
 
-void tiered_geometry_into(Bytes o, Bytes r,
-                          std::span<const std::size_t> counts,
-                          std::span<const Bytes> stripes,
-                          std::span<TierGeometry> out) {
-  if (counts.size() != stripes.size() || counts.size() != out.size()) {
+void TierLayout::assign(std::span<const std::size_t> counts,
+                        std::span<const Bytes> stripes) {
+  if (counts.size() != stripes.size()) {
     throw std::invalid_argument("counts/stripes size mismatch");
   }
   Bytes S = 0;
@@ -50,6 +48,22 @@ void tiered_geometry_into(Bytes o, Bytes r,
     S += static_cast<Bytes>(counts[j]) * stripes[j];
   }
   if (S == 0) throw std::invalid_argument("zero striping period");
+  counts_.assign(counts.begin(), counts.end());
+  stripes_.assign(stripes.begin(), stripes.end());
+  by_period_ = Divisor(S);
+  by_stripe_.resize(stripes.size());
+  for (std::size_t j = 0; j < stripes.size(); ++j) {
+    by_stripe_[j] = stripes[j] == 0 ? Divisor() : Divisor(stripes[j]);
+  }
+}
+
+void tiered_geometry_into(Bytes o, Bytes r, const TierLayout& layout,
+                          std::span<TierGeometry> out) {
+  if (out.size() != layout.tiers()) {
+    throw std::invalid_argument("geometry output size mismatch");
+  }
+  const std::span<const std::size_t> counts = layout.counts();
+  const std::span<const Bytes> stripes = layout.stripes();
   std::fill(out.begin(), out.end(), TierGeometry{});
   if (r == 0) return;
 
@@ -59,15 +73,17 @@ void tiered_geometry_into(Bytes o, Bytes r,
   if (counts.size() == 2 && counts[0] > 0 && counts[1] > 0 && stripes[0] > 0 &&
       stripes[1] > 0) {
     const SubreqGeometry g = closed_form_geometry(
-        o, r, StripePair{stripes[0], stripes[1]}, counts[0], counts[1]);
+        o, r, StripePair{stripes[0], stripes[1]}, counts[0], counts[1],
+        layout.by_period(), layout.by_stripe(0), layout.by_stripe(1));
     out[0] = TierGeometry{g.s_m, g.m};
     out[1] = TierGeometry{g.s_n, g.n};
     return;
   }
 
+  const Bytes S = layout.period();
   const Bytes end = o + r;
-  const Bytes period_first = o / S;
-  const Bytes period_last = end / S;
+  const Bytes period_first = layout.by_period().quotient(o);
+  const Bytes period_last = layout.by_period().quotient(end);
   const Bytes l_b = o - period_first * S;
   const Bytes l_e = end - period_last * S;
   const Bytes full_periods = period_last == period_first
@@ -86,7 +102,7 @@ std::vector<TierGeometry> tiered_geometry(Bytes o, Bytes r,
                                           std::span<const std::size_t> counts,
                                           std::span<const Bytes> stripes) {
   std::vector<TierGeometry> out(counts.size());
-  tiered_geometry_into(o, r, counts, stripes, out);
+  tiered_geometry_into(o, r, TierLayout(counts, stripes), out);
   return out;
 }
 
@@ -96,13 +112,13 @@ Seconds startup_expected_max(const storage::OpProfile& p, std::size_t k) {
   return p.startup_min + frac * (p.startup_max - p.startup_min);
 }
 
-Seconds tiered_cost_kernel(std::span<const std::size_t> counts,
+Seconds tiered_cost_kernel(const TierLayout& layout,
                            std::span<const storage::OpProfile* const> profiles,
                            Seconds t, Seconds net_latency, int net_hops,
                            Seconds per_stripe_overhead, Bytes offset,
-                           Bytes size, std::span<const Bytes> stripes,
-                           std::span<TierGeometry> scratch) {
-  tiered_geometry_into(offset, size, counts, stripes, scratch);
+                           Bytes size, std::span<TierGeometry> scratch) {
+  tiered_geometry_into(offset, size, layout, scratch);
+  const std::span<const Bytes> stripes = layout.stripes();
 
   Bytes max_bytes = 0;
   Seconds startup = 0.0;
@@ -118,8 +134,9 @@ Seconds tiered_cost_kernel(std::span<const std::size_t> counts,
     // Stripe units in the maximal per-server extent (the per-stripe request
     // protocol charge of CostParams::per_stripe_overhead, tier-generalized).
     if (per_stripe_overhead > 0.0 && stripes[j] > 0 && g.max_bytes > 0) {
-      max_pieces =
-          std::max(max_pieces, (g.max_bytes + stripes[j] - 1) / stripes[j]);
+      max_pieces = std::max(
+          max_pieces,
+          layout.by_stripe(j).quotient(g.max_bytes + stripes[j] - 1));
     }
   }
   if (per_stripe_overhead > 0.0) {
@@ -131,12 +148,13 @@ Seconds tiered_cost_kernel(std::span<const std::size_t> counts,
 }
 
 Seconds tiered_cost_kernel_devices(
-    std::span<const std::size_t> counts,
+    const TierLayout& layout,
     std::span<const storage::OpProfile* const> profiles,
     std::span<const double> tier_factors, Seconds t, Seconds net_latency,
     int net_hops, Seconds per_stripe_overhead, Bytes offset, Bytes size,
-    std::span<const Bytes> stripes, std::span<TierGeometry> scratch) {
-  tiered_geometry_into(offset, size, counts, stripes, scratch);
+    std::span<TierGeometry> scratch) {
+  tiered_geometry_into(offset, size, layout, scratch);
+  const std::span<const Bytes> stripes = layout.stripes();
 
   Bytes max_bytes = 0;
   Seconds startup = 0.0;
@@ -153,7 +171,60 @@ Seconds tiered_cost_kernel_devices(
     transfer = std::max(transfer,
                         f * static_cast<double>(g.max_bytes) * p.per_byte);
     if (per_stripe_overhead > 0.0 && stripes[j] > 0 && g.max_bytes > 0) {
-      const Bytes pieces = (g.max_bytes + stripes[j] - 1) / stripes[j];
+      const Bytes pieces =
+          layout.by_stripe(j).quotient(g.max_bytes + stripes[j] - 1);
+      max_pieces = std::max(max_pieces, f * static_cast<double>(pieces));
+    }
+  }
+  if (per_stripe_overhead > 0.0) {
+    transfer += per_stripe_overhead * max_pieces;
+  }
+  const Seconds network = net_latency + static_cast<double>(net_hops) * t *
+                                            static_cast<double>(max_bytes);
+  return network + startup + transfer;
+}
+
+Seconds tiered_cost_floor(const TierLayout& layout,
+                          std::span<const storage::OpProfile* const> profiles,
+                          std::span<const double> tier_factors, Seconds t,
+                          Seconds net_latency, int net_hops,
+                          Seconds per_stripe_overhead, Bytes size) {
+  const std::span<const std::size_t> counts = layout.counts();
+  const std::span<const Bytes> stripes = layout.stripes();
+  const Bytes S = layout.period();
+  const Bytes q = layout.by_period().quotient(size);
+  const Bytes rem = size - q * S;
+
+  // Mirrors tiered_cost_kernel_devices term for term, on floors of its
+  // integer inputs (see the header for why each is a floor).
+  Bytes max_bytes = 0;
+  Seconds startup = 0.0;
+  Seconds transfer = 0.0;
+  double max_pieces = 0.0;
+  for (std::size_t j = 0; j < counts.size(); ++j) {
+    const Bytes tier_bytes = static_cast<Bytes>(counts[j]) * stripes[j];
+    if (tier_bytes == 0) continue;  // never touched: the kernel charges 0
+    const storage::OpProfile& p = *profiles[j];
+    const double f = tier_factors[j];
+    // Window bytes that must land on tier j, and the busiest member's share.
+    const Bytes forced = rem > S - tier_bytes ? rem - (S - tier_bytes) : 0;
+    const Bytes share = (forced + counts[j] - 1) / counts[j];
+    const Bytes tier_max = q * stripes[j] + share;
+    const std::size_t touched =
+        q > 0 ? counts[j]
+              : static_cast<std::size_t>(layout.by_stripe(j).quotient(
+                    forced + stripes[j] - 1));
+    max_bytes = std::max(max_bytes, tier_max);
+    if (touched > 0) {
+      startup = std::max(
+          startup, f * std::min(startup_expected_max(p, touched),
+                                startup_expected_max(p, counts[j])));
+    }
+    transfer = std::max(transfer,
+                        f * static_cast<double>(tier_max) * p.per_byte);
+    if (per_stripe_overhead > 0.0 && tier_max > 0) {
+      // ceil(tier_max / stripe): share is at most one stripe.
+      const Bytes pieces = q + (share > 0 ? 1 : 0);
       max_pieces = std::max(max_pieces, f * static_cast<double>(pieces));
     }
   }
@@ -182,12 +253,12 @@ Seconds tiered_request_cost_impl(const TieredCostParams& params, IoOp op,
     profiles[j] = &params.tiers[j].profile.op(op);
     if (!params.tiers[j].device_factors.empty()) heterogeneous = true;
   }
+  const TierLayout layout(use_counts, stripes);
   std::vector<TierGeometry> scratch(k);
   if (!heterogeneous) {
-    return tiered_cost_kernel(use_counts, profiles, params.t,
-                              params.net_latency, params.net_hops,
-                              params.per_stripe_overhead, offset, size,
-                              stripes, scratch);
+    return tiered_cost_kernel(layout, profiles, params.t, params.net_latency,
+                              params.net_hops, params.per_stripe_overhead,
+                              offset, size, scratch);
   }
   std::vector<double> factors(k);
   for (std::size_t j = 0; j < k; ++j) {
@@ -195,9 +266,8 @@ Seconds tiered_request_cost_impl(const TieredCostParams& params, IoOp op,
                                               use_counts[j]);
   }
   return tiered_cost_kernel_devices(
-      use_counts, profiles, factors, params.t, params.net_latency,
-      params.net_hops, params.per_stripe_overhead, offset, size, stripes,
-      scratch);
+      layout, profiles, factors, params.t, params.net_latency,
+      params.net_hops, params.per_stripe_overhead, offset, size, scratch);
 }
 
 }  // namespace
@@ -240,18 +310,19 @@ Seconds cached_read_cost(const TieredCostParams& params,
   // calibration as the miss path, so hit and miss costs are comparable.
   const std::size_t counts[1] = {spec.devices};
   const Bytes stripes[1] = {spec.chunk};
+  const TierLayout layout(counts, stripes);
   const storage::OpProfile* profiles[1] = {&spec.profile};
   TierGeometry scratch[1];
   if (spec.worst_factor == 1.0) {
-    return tiered_cost_kernel(counts, profiles, params.t, params.net_latency,
+    return tiered_cost_kernel(layout, profiles, params.t, params.net_latency,
                               params.net_hops, params.per_stripe_overhead,
-                              offset, size, stripes, scratch);
+                              offset, size, scratch);
   }
   const double factors[1] = {spec.worst_factor};
-  return tiered_cost_kernel_devices(counts, profiles, factors, params.t,
+  return tiered_cost_kernel_devices(layout, profiles, factors, params.t,
                                     params.net_latency, params.net_hops,
                                     params.per_stripe_overhead, offset, size,
-                                    stripes, scratch);
+                                    scratch);
 }
 
 std::uint64_t params_fingerprint(const TieredCostParams& params) {

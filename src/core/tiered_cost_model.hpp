@@ -18,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "src/common/divisor.hpp"
 #include "src/common/io.hpp"
 #include "src/common/units.hpp"
 #include "src/storage/profiles.hpp"
@@ -51,6 +52,41 @@ struct TierGeometry {
   std::size_t touched = 0; ///< servers of the tier with nonzero bytes
 };
 
+/// One candidate layout with its divisors hoisted: per-tier participating
+/// server counts and stripes, the striping period S = sum counts_j *
+/// stripes_j, and exact multiply-high reciprocals (common/divisor.hpp) of S
+/// and of every nonzero stripe.  Built once per candidate, it lets the
+/// per-request geometry, the memo residue `offset mod S` and the pieces
+/// ceil-divide run without a hardware divide.  assign() reuses storage, so
+/// a hot loop that re-targets one TierLayout per candidate never allocates.
+class TierLayout {
+ public:
+  TierLayout() = default;
+  TierLayout(std::span<const std::size_t> counts,
+             std::span<const Bytes> stripes) {
+    assign(counts, stripes);
+  }
+
+  /// Requires counts.size() == stripes.size() and a nonzero period;
+  /// throws std::invalid_argument otherwise.
+  void assign(std::span<const std::size_t> counts,
+              std::span<const Bytes> stripes);
+
+  std::size_t tiers() const { return counts_.size(); }
+  std::span<const std::size_t> counts() const { return counts_; }
+  std::span<const Bytes> stripes() const { return stripes_; }
+  Bytes period() const { return by_period_.value(); }
+  const Divisor& by_period() const { return by_period_; }
+  /// Divides by stripes()[j]; the identity for a zero (skipped) stripe.
+  const Divisor& by_stripe(std::size_t j) const { return by_stripe_[j]; }
+
+ private:
+  std::vector<std::size_t> counts_;
+  std::vector<Bytes> stripes_;
+  Divisor by_period_;
+  std::vector<Divisor> by_stripe_;
+};
+
 /// Exact per-tier geometry of request [o, o+r) under round-robin striping.
 /// `counts[j]` servers in tier j each use stripe `stripes[j]` (0 = skip).
 /// Requires counts.size() == stripes.size() and a nonzero total period.
@@ -58,14 +94,13 @@ std::vector<TierGeometry> tiered_geometry(Bytes o, Bytes r,
                                           std::span<const std::size_t> counts,
                                           std::span<const Bytes> stripes);
 
-/// Allocation-free form: writes per-tier geometry into `out` (same size as
-/// `counts`).  For k == 2 with both tiers present and both stripes nonzero
-/// this dispatches to the O(1) closed forms of paper Fig. 4/5 (exactness is
-/// pinned by closed_form_test); otherwise it walks the period's cells in
-/// O(sum counts).  The optimizer calls this millions of times per region.
-void tiered_geometry_into(Bytes o, Bytes r,
-                          std::span<const std::size_t> counts,
-                          std::span<const Bytes> stripes,
+/// Allocation-free form: writes per-tier geometry into `out` (one entry
+/// per tier of `layout`).  For k == 2 with both tiers present and both
+/// stripes nonzero this dispatches to the O(1) closed forms of paper Fig.
+/// 4/5 (exactness is pinned by closed_form_test); otherwise it walks the
+/// period's cells in O(sum counts).  The optimizer calls this millions of
+/// times per region.
+void tiered_geometry_into(Bytes o, Bytes r, const TierLayout& layout,
                           std::span<TierGeometry> out);
 
 struct TieredCostParams {
@@ -86,15 +121,15 @@ Seconds startup_expected_max(const storage::OpProfile& p, std::size_t k);
 ///   T_X = hops * t * max_j(max_bytes_j) + latency
 ///   T_S = max_j E[max of touched_j uniforms on tier j's startup window]
 ///   T_T = max_j (max_bytes_j * beta_j) + per_stripe_overhead * max pieces
-/// `profiles[j]` is tier j's OpProfile for the request's op (pre-selected so
-/// hot loops pay no per-request branching) and `scratch` is caller-provided
-/// TierGeometry storage of the same size as `counts`.
-Seconds tiered_cost_kernel(std::span<const std::size_t> counts,
+/// `layout` carries the per-tier server counts and stripes, `profiles[j]`
+/// is tier j's OpProfile for the request's op (pre-selected so hot loops
+/// pay no per-request branching) and `scratch` is caller-provided
+/// TierGeometry storage with one entry per tier.
+Seconds tiered_cost_kernel(const TierLayout& layout,
                            std::span<const storage::OpProfile* const> profiles,
                            Seconds t, Seconds net_latency, int net_hops,
                            Seconds per_stripe_overhead, Bytes offset,
-                           Bytes size, std::span<const Bytes> stripes,
-                           std::span<TierGeometry> scratch);
+                           Bytes size, std::span<TierGeometry> scratch);
 
 /// Device-aware variant of the kernel.  `tier_factors[j]` is the worst
 /// (largest) speed factor among the member devices of tier j that the
@@ -109,11 +144,37 @@ Seconds tiered_cost_kernel(std::span<const std::size_t> counts,
 /// `tiered_cost_kernel` (multiplication by 1.0 is exact), but homogeneous
 /// callers still use the unscaled kernel so the hot path is untouched.
 Seconds tiered_cost_kernel_devices(
-    std::span<const std::size_t> counts,
+    const TierLayout& layout,
     std::span<const storage::OpProfile* const> profiles,
     std::span<const double> tier_factors, Seconds t, Seconds net_latency,
     int net_hops, Seconds per_stripe_overhead, Bytes offset, Bytes size,
-    std::span<const Bytes> stripes, std::span<TierGeometry> scratch);
+    std::span<TierGeometry> scratch);
+
+/// Admissible floor of the kernel: a lower bound, for a request of `size`
+/// bytes at ANY offset, on what tiered_cost_kernel_devices returns under
+/// `layout` with `tier_factors` (and on tiered_cost_kernel when every
+/// factor is 1.0, since that kernel returns the same bits).  Requires
+/// every cost parameter — alpha/beta, t, latency, hops, per-stripe
+/// overhead, factors — to be non-negative; the bound holds in floating
+/// point, not just over the reals.
+///
+/// Derivation: with q = size / S and rem = size mod S, the request covers
+/// q whole periods plus a window of rem < S bytes, and at most S - L_j of
+/// that window can miss tier j (L_j = counts_j * stripes_j).  So tier j
+/// holds at least q*L_j + max(0, rem - (S - L_j)) bytes; every member holds
+/// q*stripe_j of them, the busiest at least the average of the rest, and
+/// with q == 0 each member holds at most one stripe, which floors the
+/// touched count.  Those integer floors — max bytes, touched servers,
+/// pieces — are fed through the kernel's own expressions; every step is
+/// monotone in them (rounding included), so the double is at most the
+/// kernel's double.  The touched floor enters T_S as the smaller of its
+/// E[max] and the full tier's, which covers either sign of
+/// startup_max - startup_min.
+Seconds tiered_cost_floor(const TierLayout& layout,
+                          std::span<const storage::OpProfile* const> profiles,
+                          std::span<const double> tier_factors, Seconds t,
+                          Seconds net_latency, int net_hops,
+                          Seconds per_stripe_overhead, Bytes size);
 
 /// Cost of one request with per-tier stripe sizes (generalized Eq. 7/8).
 /// Heterogeneous tiers (non-empty device_factors) are charged at the worst

@@ -67,8 +67,9 @@ obs::Recorder::Predictor make_predictor(
 
 /// Lands the Analysis Phase diagnostics already carried by the Plan in the
 /// same registry as the measured run, so metrics-out= shows what Algorithm 2
-/// spent (grid size, cost-kernel calls, coalescing savings, modeled cost)
-/// next to what the placement actually did.  Region labels index the
+/// spent (grid size, cost-kernel calls, coalescing savings, candidates
+/// abandoned as provable losers, modeled cost) next to what the placement
+/// actually did.  Region labels index the
 /// pre-merge regions — the grain the optimizer worked at.
 void record_plan_metrics(obs::MetricsRegistry& metrics,
                          const core::Plan& plan) {
@@ -81,6 +82,8 @@ void record_plan_metrics(obs::MetricsRegistry& metrics,
       metrics.family("planner.region.cost_evals", Kind::kCounter);
   const auto saved =
       metrics.family("planner.region.cost_evals_saved", Kind::kCounter);
+  const auto pruned =
+      metrics.family("planner.region.candidates_pruned", Kind::kCounter);
   const auto model_cost =
       metrics.family("planner.region.model_cost_s", Kind::kGauge);
   for (std::size_t i = 0; i < plan.regions.size(); ++i) {
@@ -91,6 +94,7 @@ void record_plan_metrics(obs::MetricsRegistry& metrics,
                 static_cast<double>(r.candidates_evaluated));
     metrics.add(evals, labels, static_cast<double>(r.cost_evals));
     metrics.add(saved, labels, static_cast<double>(r.cost_evals_saved));
+    metrics.add(pruned, labels, static_cast<double>(r.candidates_pruned));
     metrics.set(model_cost, labels, r.model_cost);
   }
   const auto no_labels = obs::LabelSet{};

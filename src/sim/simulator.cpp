@@ -61,13 +61,12 @@ void Simulator::heap_remove_min() {
 #if defined(__GNUC__)
     // The next hole is one of the four children; start pulling their child
     // groups (4 x 16 B each) in now so the level-by-level dependent walk
-    // overlaps its cache misses.
+    // overlaps its cache misses.  Only groups that exist: the last level is
+    // usually partial, and an address past the end is not ours to form.
     const std::size_t grand = 4 * first + 1;
-    if (grand < n) {
-      __builtin_prefetch(&heap_[grand], 0, 1);
-      __builtin_prefetch(&heap_[grand + 4], 0, 1);
-      __builtin_prefetch(&heap_[grand + 8], 0, 1);
-      __builtin_prefetch(&heap_[grand + 12], 0, 1);
+    for (std::size_t group = grand; group < n && group <= grand + 12;
+         group += 4) {
+      __builtin_prefetch(heap_.data() + group, 0, 1);
     }
 #endif
     const std::size_t end = first + 4 < n ? first + 4 : n;

@@ -5,9 +5,13 @@
 
 #include <array>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "src/common/rng.hpp"
+#include "src/common/divisor.hpp"
 #include "src/core/closed_form.hpp"
+#include "src/core/tiered_cost_model.hpp"
 
 namespace harl::core {
 namespace {
@@ -116,6 +120,131 @@ TEST(ClosedForm, AlignedBoundariesSweep) {
       ASSERT_EQ(closed_form_geometry(offset, size, hs, M, N),
                 request_geometry(offset, size, hs, M, N))
           << "o=" << offset << " r=" << size;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hoisted divisors.  The optimizer builds exact reciprocals of the period and
+// of each stripe once per candidate (Divisor); every quotient, remainder and
+// geometry derived from them must equal the hardware `/` and `%` and the
+// cell walk, for any u64 — well past the 2^52 range of a double reciprocal.
+// ---------------------------------------------------------------------------
+
+TEST(HoistedDivision, DivisorMatchesHardwareDivide) {
+  constexpr Bytes kMax = ~Bytes{0};
+  Rng rng(41);
+  std::vector<Bytes> divisors = {
+      1,           2,           3,           7,
+      10,          4 * KiB,     6 * 48 * KiB + 2 * 208 * KiB,
+      (Bytes{1} << 32) - 1,         (Bytes{1} << 32) + 1,
+      (Bytes{1} << 52) - 1,         Bytes{1} << 52,  (Bytes{1} << 52) + 1,
+      (Bytes{1} << 53) + 3,         Bytes{1} << 63,  (Bytes{1} << 63) + 1,
+      kMax - 1,    kMax};
+  for (int i = 0; i < 24; ++i) divisors.push_back(rng.uniform_u64(1, kMax));
+  for (int i = 0; i < 24; ++i) divisors.push_back(rng.uniform_u64(1, 1 << 20));
+  for (const Bytes d : divisors) {
+    SCOPED_TRACE("d=" + std::to_string(d));
+    const Divisor by(d);
+    EXPECT_EQ(by.value(), d);
+    std::vector<Bytes> dividends = {0,
+                                    1,
+                                    d - 1,
+                                    d,
+                                    d + 1,
+                                    (Bytes{1} << 52) - 1,
+                                    Bytes{1} << 52,
+                                    (Bytes{1} << 52) + 1,
+                                    (Bytes{1} << 53) + 1,
+                                    Bytes{1} << 62,
+                                    kMax - 1,
+                                    kMax};
+    // Multiples of d and their neighbours, up to the largest u64 multiple.
+    const Bytes top = kMax / d;
+    for (const Bytes k : {top, top - 1, top / 2, (Bytes{1} << 52) / d + 1}) {
+      if (k == 0 || k > top) continue;
+      dividends.push_back(k * d - 1);
+      dividends.push_back(k * d);
+      if (k * d < kMax) dividends.push_back(k * d + 1);
+    }
+    for (int j = 0; j < 256; ++j) dividends.push_back(rng.next());
+    for (const Bytes n : dividends) {
+      ASSERT_EQ(by.quotient(n), n / d) << "n=" << n;
+      ASSERT_EQ(by.remainder(n), n % d) << "n=" << n;
+    }
+  }
+  EXPECT_THROW(Divisor(0), std::invalid_argument);
+}
+
+TEST(HoistedDivision, GeometryAndResidueMatchCellWalkAndPlainDivide) {
+  struct Shape {
+    std::size_t M;
+    std::size_t N;
+    Bytes h;
+    Bytes s;
+  };
+  // Periods 704K (not a power of two), odd byte stripes, a tiny period and
+  // a power of two.
+  const Shape shapes[] = {{6, 2, 48 * KiB, 208 * KiB},
+                          {3, 5, 4 * KiB + 3, 12 * KiB + 1},
+                          {1, 1, 3, 7},
+                          {4, 4, 64 * KiB, 64 * KiB}};
+  Rng rng(43);
+  for (const Shape& c : shapes) {
+    const StripePair hs{c.h, c.s};
+    const Bytes S = c.M * c.h + c.N * c.s;
+    SCOPED_TRACE("S=" + std::to_string(S));
+    const std::size_t counts[2] = {c.M, c.N};
+    const Bytes stripes[2] = {c.h, c.s};
+    const TierLayout layout(counts, stripes);
+    ASSERT_EQ(layout.period(), S);
+    // An empty middle tier forces the O(sum counts) cell walk over the same
+    // striping, so the closed form can be checked against it.
+    const std::size_t walk_counts[3] = {c.M, 0, c.N};
+    const Bytes walk_stripes[3] = {c.h, 0, c.s};
+    const TierLayout walk(walk_counts, walk_stripes);
+
+    for (const Bytes base : {Bytes{0}, Bytes{1} << 52, (Bytes{1} << 52) + 7 * S,
+                             Bytes{1} << 62}) {
+      const Bytes period_start = base / S * S;
+      std::vector<Bytes> offsets = {period_start,         // residue 0
+                                    period_start + 1,
+                                    period_start + c.M * c.h - 1,
+                                    period_start + c.M * c.h,
+                                    period_start + S - 1,  // residue S - 1
+                                    period_start + S};
+      for (int i = 0; i < 8; ++i) {
+        offsets.push_back(period_start + rng.uniform_u64(0, 2 * S));
+      }
+      for (const Bytes o : offsets) {
+        const Bytes to_boundary = S - o % S;
+        std::vector<Bytes> sizes = {1,
+                                    to_boundary,      // ends on a boundary
+                                    to_boundary + 1,  // last byte on one
+                                    S,
+                                    S + to_boundary,
+                                    2 * S + 1,
+                                    rng.uniform_u64(1, 3 * S)};
+        for (const Bytes r : sizes) {
+          SCOPED_TRACE("o=" + std::to_string(o) + " r=" + std::to_string(r));
+          ASSERT_EQ(layout.by_period().remainder(o), o % S);
+          ASSERT_EQ(layout.by_period().quotient(o + r), (o + r) / S);
+          const SubreqGeometry hoisted = closed_form_geometry(
+              o, r, hs, c.M, c.N, layout.by_period(), layout.by_stripe(0),
+              layout.by_stripe(1));
+          // Plain `%` in the byte-walking reference.
+          ASSERT_EQ(hoisted, request_geometry_reference(o, r, hs, c.M, c.N));
+          // Periodic in the offset: what the memo's residue key relies on.
+          ASSERT_EQ(hoisted, closed_form_geometry(o % S, r, hs, c.M, c.N));
+          TierGeometry cells[3];
+          tiered_geometry_into(o, r, walk, cells);
+          EXPECT_EQ(cells[0].max_bytes, hoisted.s_m);
+          EXPECT_EQ(cells[0].touched, hoisted.m);
+          EXPECT_EQ(cells[1].max_bytes, 0u);
+          EXPECT_EQ(cells[2].max_bytes, hoisted.s_n);
+          EXPECT_EQ(cells[2].touched, hoisted.n);
+        }
+      }
     }
   }
 }

@@ -109,12 +109,13 @@ TEST(DeviceKernel, AllOnesFactorsAreBitIdenticalToTheUnscaledKernel) {
     for (const Bytes size : {Bytes{4 * KiB}, Bytes{512 * KiB}, Bytes{3 * MiB}}) {
       for (const Bytes h : {Bytes{0}, Bytes{16 * KiB}, Bytes{64 * KiB}}) {
         const std::vector<Bytes> stripes{h, Bytes{128 * KiB}};
+        const core::TierLayout layout(counts, stripes);
         const Seconds base = core::tiered_cost_kernel(
-            counts, profiles, params.t, params.net_latency, params.net_hops,
-            params.per_stripe_overhead, offset, size, stripes, scratch);
+            layout, profiles, params.t, params.net_latency, params.net_hops,
+            params.per_stripe_overhead, offset, size, scratch);
         const Seconds dev = core::tiered_cost_kernel_devices(
-            counts, profiles, ones, params.t, params.net_latency,
-            params.net_hops, params.per_stripe_overhead, offset, size, stripes,
+            layout, profiles, ones, params.t, params.net_latency,
+            params.net_hops, params.per_stripe_overhead, offset, size,
             scratch);
         EXPECT_EQ(base, dev) << "offset " << offset << " size " << size
                              << " h " << h;
@@ -134,14 +135,15 @@ TEST(DeviceKernel, SingleTierFactorScalesAllServerSideTerms) {
   const std::vector<std::size_t> counts{1};
   const storage::OpProfile* profiles[] = {&tier.profile.read};
   const std::vector<Bytes> stripes{64 * KiB};
+  const core::TierLayout layout(counts, stripes);
   std::vector<core::TierGeometry> scratch(1);
   const Seconds base = core::tiered_cost_kernel(
-      counts, profiles, /*t=*/0.0, /*net_latency=*/0.0, /*net_hops=*/1,
-      /*per_stripe_overhead=*/50e-6, 0, 256 * KiB, stripes, scratch);
+      layout, profiles, /*t=*/0.0, /*net_latency=*/0.0, /*net_hops=*/1,
+      /*per_stripe_overhead=*/50e-6, 0, 256 * KiB, scratch);
   for (const double f : {1.0, 1.5, 3.0}) {
     const std::vector<double> factors{f};
     const Seconds dev = core::tiered_cost_kernel_devices(
-        counts, profiles, factors, 0.0, 0.0, 1, 50e-6, 0, 256 * KiB, stripes,
+        layout, profiles, factors, 0.0, 0.0, 1, 50e-6, 0, 256 * KiB,
         scratch);
     EXPECT_DOUBLE_EQ(dev, f * base) << "factor " << f;
   }
@@ -158,14 +160,14 @@ TEST(DeviceKernel, NetworkTermsAreNotScaledByDeviceFactors) {
   const std::vector<std::size_t> counts{2};
   const storage::OpProfile* profiles[] = {&tier.profile.read};
   const std::vector<Bytes> stripes{64 * KiB};
+  const core::TierLayout layout(counts, stripes);
   std::vector<core::TierGeometry> scratch(1);
   const Seconds t = 1e-8;
   const Seconds base = core::tiered_cost_kernel(
-      counts, profiles, t, 20e-6, 2, 0.0, 0, 256 * KiB, stripes, scratch);
+      layout, profiles, t, 20e-6, 2, 0.0, 0, 256 * KiB, scratch);
   const std::vector<double> factors{1.0, 8.0};
   const Seconds dev = core::tiered_cost_kernel_devices(
-      counts, profiles, factors, t, 20e-6, 2, 0.0, 0, 256 * KiB, stripes,
-      scratch);
+      layout, profiles, factors, t, 20e-6, 2, 0.0, 0, 256 * KiB, scratch);
   EXPECT_EQ(base, dev);
 }
 

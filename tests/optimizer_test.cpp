@@ -1,6 +1,8 @@
 // Tests for Algorithm 2: region stripe-size determination.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -123,10 +125,14 @@ TEST(Optimizer, CoalescedSearchIsBitIdenticalToBruteForce) {
   EXPECT_EQ(a.model_cost, b.model_cost);  // exact, not approximate
   EXPECT_EQ(a.candidates_evaluated, b.candidates_evaluated);
   // Counter accounting: brute force does cost_evals work and saves nothing;
-  // coalescing's evals + saved must equal brute force's total.
+  // on both sides evals + saved + skipped (requests abandoned candidates
+  // never scored) must equal the grid times the sampled requests.
   EXPECT_EQ(a.cost_evals_saved, 0u);
   EXPECT_GT(b.cost_evals_saved, 0u);
-  EXPECT_EQ(b.cost_evals + b.cost_evals_saved, a.cost_evals);
+  EXPECT_EQ(b.cost_evals + b.cost_evals_saved + b.requests_skipped,
+            a.cost_evals + a.requests_skipped);
+  EXPECT_EQ(a.cost_evals + a.requests_skipped,
+            a.candidates_evaluated * reqs.size());
 }
 
 TEST(Optimizer, CoalescedShardedSearchMatchesBruteForce) {
@@ -141,7 +147,8 @@ TEST(Optimizer, CoalescedShardedSearchMatchesBruteForce) {
   const auto b = optimize_region(p, reqs, 512.0 * KiB, sharded);
   EXPECT_EQ(a.stripes, b.stripes);
   EXPECT_EQ(a.model_cost, b.model_cost);
-  EXPECT_EQ(b.cost_evals + b.cost_evals_saved, a.cost_evals);
+  EXPECT_EQ(b.cost_evals + b.cost_evals_saved + b.requests_skipped,
+            a.cost_evals + a.requests_skipped);
 }
 
 TEST(RegionCost, CoalescedScoreMatchesPlainLoop) {
@@ -318,6 +325,286 @@ TEST(RegionCost, SumsPerRequestCosts) {
       request_cost(p, IoOp::kRead, 0, 512 * KiB, {64 * KiB, 64 * KiB}) +
       request_cost(p, IoOp::kWrite, 1 * MiB, 512 * KiB, {64 * KiB, 64 * KiB});
   EXPECT_DOUBLE_EQ(total, expect);
+}
+
+// ---------------------------------------------------------------------------
+// Exhaustive reference.  The engine abandons candidates once they provably
+// lose, so its argmin, members and cost bits must equal a plain loop that
+// scores every grid candidate in full, and the per-request floor it prunes
+// with must never exceed an exact request cost.
+// ---------------------------------------------------------------------------
+
+struct RefCandidate {
+  std::vector<Bytes> stripes;
+  std::vector<std::size_t> members;  ///< empty = full membership
+  Seconds cost = 0.0;
+};
+
+/// The engine's total order: lower cost, then larger stripes, then wider
+/// members, both scanned from the front (two-tier API) or back (k-tier).
+bool ref_better(const RefCandidate& a, const RefCandidate& b,
+                bool from_front) {
+  if (a.cost != b.cost) return a.cost < b.cost;
+  auto compare = [from_front](const auto& x, const auto& y) {
+    if (x.size() != y.size()) return x.size() > y.size() ? 1 : -1;
+    for (std::size_t n = 0; n < x.size(); ++n) {
+      const std::size_t i = from_front ? n : x.size() - 1 - n;
+      if (x[i] != y[i]) return x[i] > y[i] ? 1 : -1;
+    }
+    return 0;
+  };
+  if (const int c = compare(a.stripes, b.stripes)) return c > 0;
+  return compare(a.members, b.members) > 0;
+}
+
+/// Member-prefix choices of one tier: prefix lengths ending at factor-group
+/// boundaries of the canonical (ascending) factors; the full tier when
+/// homogeneous.
+std::vector<std::size_t> ref_member_choices(const TierSpec& tier) {
+  if (tier.device_factors.empty()) return {tier.count};
+  std::vector<std::size_t> out;
+  const auto& f = tier.device_factors;
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    if (i + 1 == f.size() || f[i + 1] != f[i]) out.push_back(i + 1);
+  }
+  return out;
+}
+
+/// Appends `stripes` crossed with every member choice (none when every tier
+/// is homogeneous).
+void ref_cross(const TieredCostParams& tp, const std::vector<Bytes>& stripes,
+               std::vector<RefCandidate>& out) {
+  bool heterogeneous = false;
+  for (const auto& t : tp.tiers) heterogeneous |= !t.device_factors.empty();
+  std::vector<std::vector<std::size_t>> picks{{}};
+  if (heterogeneous) {
+    for (std::size_t j = 0; j < tp.tiers.size(); ++j) {
+      const std::vector<std::size_t> choices =
+          stripes[j] == 0 ? std::vector<std::size_t>{0}
+                          : ref_member_choices(tp.tiers[j]);
+      std::vector<std::vector<std::size_t>> next;
+      for (const auto& prefix : picks) {
+        for (std::size_t m : choices) {
+          next.push_back(prefix);
+          next.back().push_back(m);
+        }
+      }
+      picks = std::move(next);
+    }
+  }
+  for (auto& members : picks) out.push_back({stripes, std::move(members), 0.0});
+}
+
+struct PropertyCase {
+  bool two_tier = true;
+  std::vector<FileRequest> requests;
+  double avg = 0.0;
+  Bytes step = 0;
+  bool coalesce = true;
+  bool pooled = false;
+};
+
+/// Scores every candidate in full and returns the reference winner.  Counts
+/// (op, size, candidate) triples whose floor exceeds a request's exact
+/// cost into `floor_violations`.
+RefCandidate reference_search(const CostParams& p, const TieredCostParams& tp,
+                              const PropertyCase& pc,
+                              std::size_t max_requests,
+                              std::size_t& grid_size,
+                              std::size_t& floor_violations) {
+  const Bytes R = std::max<Bytes>(
+      pc.step, (static_cast<Bytes>(pc.avg) + pc.step - 1) / pc.step * pc.step);
+  std::vector<RefCandidate> grid;
+  if (pc.two_tier) {
+    for (Bytes h = 0; h <= R; h += pc.step) {
+      for (Bytes s = h + pc.step; s <= std::max(R, h + pc.step); s += pc.step) {
+        ref_cross(tp, {h, s}, grid);
+      }
+    }
+  } else {
+    auto next = [&](Bytes v) { return v == 0 ? pc.step : v + pc.step; };
+    for (Bytes a = 0; a <= R; a = next(a)) {
+      for (Bytes b = a; b <= R; b = next(b)) {
+        for (Bytes c = b; c <= R; c = next(c)) {
+          if (c > 0) ref_cross(tp, {a, b, c}, grid);
+        }
+      }
+    }
+  }
+  grid_size = grid.size();
+
+  const std::size_t n = pc.requests.size();
+  const std::size_t stride =
+      n <= max_requests ? 1 : (n + max_requests - 1) / max_requests;
+  const std::size_t k = tp.tiers.size();
+  RefCandidate best{{}, {}, std::numeric_limits<Seconds>::infinity()};
+  for (RefCandidate& cand : grid) {
+    std::vector<std::size_t> use(k);
+    std::vector<double> factors(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      use[j] = cand.members.empty() ? tp.tiers[j].count : cand.members[j];
+      factors[j] =
+          storage::worst_device_factor(tp.tiers[j].device_factors, use[j]);
+    }
+    const TierLayout layout(use, cand.stripes);
+    Seconds total = 0.0;
+    std::size_t scored = 0;
+    for (std::size_t i = 0; i < n; i += stride) {
+      const FileRequest& req = pc.requests[i];
+      const Seconds cost =
+          cand.members.empty()
+              ? tiered_request_cost(tp, req.op, req.offset, req.size,
+                                    cand.stripes)
+              : tiered_request_cost(tp, req.op, req.offset, req.size,
+                                    cand.stripes, cand.members);
+      std::vector<const storage::OpProfile*> profiles(k);
+      for (std::size_t j = 0; j < k; ++j) {
+        profiles[j] = &tp.tiers[j].profile.op(req.op);
+      }
+      const Seconds floor = tiered_cost_floor(
+          layout, profiles, factors, tp.t, tp.net_latency, tp.net_hops,
+          tp.per_stripe_overhead, req.size);
+      if (floor > cost) {
+        if (floor_violations++ == 0) {
+          ADD_FAILURE() << "floor " << floor << " > cost " << cost
+                        << " for size " << req.size << " at offset "
+                        << req.offset;
+        }
+      }
+      total += cost;
+      ++scored;
+    }
+    cand.cost = total * static_cast<double>(n) / static_cast<double>(scored);
+    if (pc.two_tier && cand.members.empty()) {
+      // The two-tier reference scorer agrees bit for bit.
+      EXPECT_EQ(cand.cost,
+                region_cost(p, pc.requests,
+                            StripePair{cand.stripes[0], cand.stripes[1]},
+                            max_requests));
+    }
+    if (ref_better(cand, best, pc.two_tier)) best = cand;
+  }
+  return best;
+}
+
+TEST(OptimizerProperty, PrunedSearchEqualsExhaustiveReference) {
+  ThreadPool pool(3);
+  const std::vector<Bytes> sizes = {4 * KiB,   12 * KiB,  64 * KiB,
+                                    100000,    192 * KiB, 256 * KiB + 512,
+                                    384 * KiB, 1 * MiB - 4 * KiB};
+  for (std::uint64_t trial = 0; trial < 24; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    Rng rng(1000 + trial);
+    PropertyCase pc;
+    pc.two_tier = trial % 3 != 2;
+    pc.coalesce = trial % 4 != 1;
+    pc.pooled = trial % 5 == 3;
+    // Two trials cross the default 4096-request sampling cap.
+    const bool many = trial == 4 || trial == 14;
+    const std::size_t count = many ? 4500 : rng.uniform_u64(8, 160);
+    const std::size_t size_kinds = rng.uniform_u64(1, 3);
+    std::vector<Bytes> picked;
+    for (std::size_t i = 0; i < size_kinds; ++i) {
+      picked.push_back(sizes[rng.uniform_u64(0, sizes.size() - 1)]);
+    }
+    double sum = 0.0;
+    for (std::size_t i = 0; i < count; ++i) {
+      const Bytes size = picked[rng.uniform_u64(0, picked.size() - 1)];
+      Bytes offset = rng.uniform_u64(0, 1ULL << 32);
+      if (rng.uniform_u64(0, 1) == 0) offset = offset / (4 * KiB) * (4 * KiB);
+      if (rng.uniform_u64(0, 4) == 0) {
+        offset = (1ULL << 62) - rng.uniform_u64(0, 1ULL << 24);
+      }
+      const IoOp op = rng.uniform_u64(0, 1) ? IoOp::kWrite : IoOp::kRead;
+      pc.requests.push_back(FileRequest{op, offset, size});
+      sum += static_cast<double>(size);
+    }
+    pc.avg = sum / static_cast<double>(count);
+    pc.step = pc.two_tier ? (pc.avg > 300.0 * KiB ? 64 * KiB : 16 * KiB)
+                          : (pc.avg > 300.0 * KiB ? 128 * KiB : 32 * KiB);
+
+    CostParams p = calibrated_params(rng.uniform_u64(1, 5),
+                                     rng.uniform_u64(1, 3));
+    p.per_stripe_overhead = rng.uniform_u64(0, 1) ? 50e-6 : 0.0;
+    p.net_latency = rng.uniform_u64(0, 1) ? 30e-6 : 0.0;
+    const bool aged = rng.uniform_u64(0, 1) == 1;
+    TieredCostParams tp = to_tiered(p);
+    if (!pc.two_tier) {
+      TierSpec middle{2, storage::sata_ssd_profile(), {}};
+      tp.tiers.insert(tp.tiers.begin() + 1, middle);
+    }
+    if (aged) {
+      // Aged members: the slowest device of the first and last tiers, so
+      // member prefixes become candidates.
+      for (TierSpec* tier : {&tp.tiers.front(), &tp.tiers.back()}) {
+        if (tier->count < 2) continue;
+        tier->device_factors.assign(tier->count, 1.0);
+        tier->device_factors.back() = 2.5;
+      }
+      p.hserver_factors = tp.tiers.front().device_factors;
+      p.sserver_factors = tp.tiers.back().device_factors;
+    }
+
+    const std::size_t max_requests = 4096;
+    std::size_t grid_size = 0;
+    std::size_t floor_violations = 0;
+    const RefCandidate want = reference_search(p, tp, pc, max_requests,
+                                               grid_size, floor_violations);
+    EXPECT_EQ(floor_violations, 0u);
+
+    std::vector<Bytes> got_stripes;
+    std::vector<std::size_t> got_members;
+    Seconds got_cost = 0.0;
+    std::size_t candidates = 0;
+    std::uint64_t work = 0;
+    if (pc.two_tier) {
+      OptimizerOptions opts;
+      opts.step = pc.step;
+      opts.coalesce = pc.coalesce;
+      opts.pool = pc.pooled ? &pool : nullptr;
+      const RegionStripes r = optimize_region(p, pc.requests, pc.avg, opts);
+      got_stripes = {r.stripes.h, r.stripes.s};
+      got_members = r.members;
+      got_cost = r.model_cost;
+      candidates = r.candidates_evaluated;
+      work = r.cost_evals + r.cost_evals_saved + r.requests_skipped;
+    } else {
+      TieredOptimizerOptions opts;
+      opts.step = pc.step;
+      opts.coalesce = pc.coalesce;
+      opts.pool = pc.pooled ? &pool : nullptr;
+      const TieredRegionStripes r =
+          optimize_region_tiered(tp, pc.requests, pc.avg, opts);
+      got_stripes = r.stripes;
+      got_members = r.members;
+      got_cost = r.model_cost;
+      candidates = r.candidates_evaluated;
+      work = r.cost_evals + r.cost_evals_saved + r.requests_skipped;
+    }
+    EXPECT_EQ(got_stripes, want.stripes);
+    EXPECT_EQ(got_members, want.members);
+    EXPECT_EQ(got_cost, want.cost);  // the same bits, not approximately
+    EXPECT_EQ(candidates, grid_size);
+    const std::size_t sampled =
+        count <= max_requests
+            ? count
+            : (count + (count + max_requests - 1) / max_requests - 1) /
+                  ((count + max_requests - 1) / max_requests);
+    EXPECT_EQ(work, candidates * sampled);
+  }
+}
+
+TEST(OptimizerProperty, PrunesWithoutChangingTheResult) {
+  // Random offsets make most candidates clear losers: the engine must
+  // abandon some of them, and its counters must balance exactly.
+  const CostParams p = calibrated_params();
+  const auto reqs = uniform_requests(512 * KiB, 64);
+  const auto r = optimize_region(p, reqs, 512.0 * KiB);
+  EXPECT_GT(r.candidates_pruned, 0u);
+  EXPECT_LT(r.candidates_pruned, r.candidates_evaluated);
+  EXPECT_GT(r.requests_skipped, 0u);
+  EXPECT_EQ(r.cost_evals + r.cost_evals_saved + r.requests_skipped,
+            r.candidates_evaluated * reqs.size());
 }
 
 }  // namespace

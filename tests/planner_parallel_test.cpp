@@ -164,8 +164,9 @@ TEST(PlannerParallel, IorTraceMatchesSerialBruteForce) {
   const Plan got = analyze(records, params, opts.fast);
   expect_identical(got, want);
   EXPECT_GT(got.total_cost_evals_saved(), 0u);
-  EXPECT_EQ(got.total_cost_evals() + got.total_cost_evals_saved(),
-            want.total_cost_evals());
+  EXPECT_EQ(got.total_cost_evals() + got.total_cost_evals_saved() +
+                got.total_requests_skipped(),
+            want.total_cost_evals() + want.total_requests_skipped());
 }
 
 TEST(PlannerParallel, BtioTraceMatchesSerialBruteForce) {
