@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace harl {
@@ -62,16 +61,14 @@ double percentile(std::span<const double> xs, double p) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-LogHistogram::LogHistogram(unsigned sub_bits) : sub_bits_(sub_bits) {
+LogBuckets::LogBuckets(unsigned sub_bits) : sub_bits_(sub_bits) {
   if (sub_bits > 12) {
-    throw std::invalid_argument("LogHistogram sub_bits must be <= 12");
+    throw std::invalid_argument("log-bucket sub_bits must be <= 12");
   }
 }
 
-std::int32_t LogHistogram::bucket_index(double x) const {
-  // x = m * 2^e with m in [0.5, 1); split [2^(e-1), 2^e) into 2^sub_bits
-  // equal cells.  The index is e * 2^sub_bits + cell, which orders buckets
-  // by value and makes merge a plain per-key addition.
+std::int32_t LogBuckets::denormal_index(double x) const {
+  // frexp normalizes a denormal's mantissa into [0.5, 1).
   int e = 0;
   const double m = std::frexp(x, &e);
   const auto sub = static_cast<std::int32_t>(1u << sub_bits_);
@@ -81,7 +78,7 @@ std::int32_t LogHistogram::bucket_index(double x) const {
   return static_cast<std::int32_t>(e) * sub + cell;
 }
 
-double LogHistogram::bucket_low(std::int32_t index) const {
+double LogBuckets::bucket_low(std::int32_t index) const {
   const auto sub = static_cast<std::int32_t>(1u << sub_bits_);
   // Floor division so negative exponents (sub-second latencies) round down.
   std::int32_t e = index / sub;
@@ -94,36 +91,62 @@ double LogHistogram::bucket_low(std::int32_t index) const {
                     e - 1);
 }
 
-void LogHistogram::add(double x) {
-  if (!(x > 0.0)) {  // zero, negative, NaN
-    ++non_positive_;
-    ++count_;
-    if (count_ == 1) {
-      min_ = max_ = 0.0;
-    } else {
-      min_ = std::min(min_, 0.0);
-      max_ = std::max(max_, 0.0);
-    }
-    return;
+std::uint64_t& LogBuckets::slot(std::int32_t index) {
+  if (counts_.empty()) {
+    base_ = index;
+    counts_.push_back(0);
+    return counts_.front();
   }
-  if (std::isinf(x)) x = std::numeric_limits<double>::max();
-  ++counts_[bucket_index(x)];
+  if (index < base_) {
+    // Exact front growth: the dense range stays a pure function of the
+    // touched index extremes (the equality/merge-determinism contract).
+    counts_.insert(counts_.begin(), static_cast<std::size_t>(base_ - index),
+                   0);
+    base_ = index;
+  } else if (const auto off = static_cast<std::size_t>(index - base_);
+             off >= counts_.size()) {
+    counts_.resize(off + 1, 0);
+  }
+  return counts_[static_cast<std::size_t>(index - base_)];
+}
+
+void LogBuckets::reset() {
+  base_ = 0;
+  counts_.clear();
+  count_ = 0;
+  non_positive_ = 0;
+  sum_ = 0.0;
+  min_ = 0.0;
+  max_ = 0.0;
+}
+
+void LogBuckets::add_non_positive() {
+  ++non_positive_;
   ++count_;
-  sum_ += x;
   if (count_ == 1) {
-    min_ = max_ = x;
+    min_ = max_ = 0.0;
   } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
+    min_ = std::min(min_, 0.0);
+    max_ = std::max(max_, 0.0);
   }
 }
 
-void LogHistogram::merge(const LogHistogram& other) {
+void LogBuckets::merge_from(const LogBuckets& other) {
   if (other.count_ == 0) return;
   if (other.sub_bits_ != sub_bits_) {
-    throw std::invalid_argument("LogHistogram merge requires equal sub_bits");
+    throw std::invalid_argument("log-bucket merge requires equal sub_bits");
   }
-  for (const auto& [index, n] : other.counts_) counts_[index] += n;
+  if (!other.counts_.empty()) {
+    // The other range's end buckets are non-empty, so covering them keeps
+    // this range exact.
+    const auto n = static_cast<std::int32_t>(other.counts_.size());
+    slot(other.base_);
+    slot(other.base_ + n - 1);
+    const std::size_t off = static_cast<std::size_t>(other.base_ - base_);
+    for (std::size_t i = 0; i < other.counts_.size(); ++i) {
+      counts_[off + i] += other.counts_[i];
+    }
+  }
   non_positive_ += other.non_positive_;
   sum_ += other.sum_;
   if (count_ == 0) {
@@ -136,44 +159,71 @@ void LogHistogram::merge(const LogHistogram& other) {
   count_ += other.count_;
 }
 
-void LogHistogram::reset() { *this = LogHistogram{sub_bits_}; }
-
-double LogHistogram::mean() const {
+double LogBuckets::mean() const {
   return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
+}
+
+void LogBuckets::quantiles_at(std::span<const double> qs,
+                              std::span<double> out) const {
+  // One scan serves every q: ranks ascend, so each answer's bucket is at or
+  // after the previous one's, and `seen` accumulates exactly as a scan for
+  // that q alone would.
+  const double n_all = static_cast<double>(count_);
+  // Non-positive samples sit below every bucket at value 0.  Guard on their
+  // presence: at q = 0 the rank is 0 and an all-positive instance must fall
+  // through to its first bucket (clamped to min), not report 0.
+  double seen = static_cast<double>(non_positive_);
+  std::size_t i = 0;
+  for (std::size_t k = 0; k < qs.size(); ++k) {
+    if (count_ == 0) {
+      out[k] = 0.0;
+      continue;
+    }
+    const double rank = qs[k] * n_all;
+    if (non_positive_ > 0 && rank <= static_cast<double>(non_positive_)) {
+      out[k] = std::min(0.0, min_);
+      continue;
+    }
+    out[k] = max_;
+    for (; i < counts_.size(); ++i) {
+      const std::uint64_t n = counts_[i];
+      if (n == 0) continue;
+      const double next = seen + static_cast<double>(n);
+      if (rank <= next) {
+        const std::int32_t index = base_ + static_cast<std::int32_t>(i);
+        const double lo = bucket_low(index);
+        const double hi = bucket_low(index + 1);
+        const double frac = (rank - seen) / static_cast<double>(n);
+        const double v = lo + frac * (hi - lo);
+        out[k] = std::min(std::max(v, min_), max_);
+        break;
+      }
+      seen = next;
+    }
+  }
+}
+
+double LogBuckets::quantile_at(double q) const {
+  double v = 0.0;
+  quantiles_at({&q, 1}, {&v, 1});
+  return v;
+}
+
+std::vector<LogBuckets::Bucket> LogBuckets::buckets() const {
+  std::vector<Bucket> out;
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    if (counts_[i] == 0) continue;
+    const std::int32_t index = base_ + static_cast<std::int32_t>(i);
+    out.push_back(Bucket{bucket_low(index), bucket_low(index + 1), counts_[i]});
+  }
+  return out;
 }
 
 double LogHistogram::percentile(double p) const {
   if (p < 0.0 || p > 100.0) {
     throw std::invalid_argument("percentile p out of [0,100]");
   }
-  if (count_ == 0) return 0.0;
-  const double rank = p / 100.0 * static_cast<double>(count_);
-  // Non-positive samples sit below every bucket at value 0.  Guard on their
-  // presence: at p = 0 the rank is 0 and an all-positive histogram must fall
-  // through to its first bucket (clamped to min), not report 0.
-  double seen = static_cast<double>(non_positive_);
-  if (non_positive_ > 0 && rank <= seen) return std::min(0.0, min_);
-  for (const auto& [index, n] : counts_) {
-    const double next = seen + static_cast<double>(n);
-    if (rank <= next) {
-      const double lo = bucket_low(index);
-      const double hi = bucket_low(index + 1);
-      const double frac = (rank - seen) / static_cast<double>(n);
-      const double v = lo + frac * (hi - lo);
-      return std::min(std::max(v, min_), max_);
-    }
-    seen = next;
-  }
-  return max_;
-}
-
-std::vector<LogHistogram::Bucket> LogHistogram::buckets() const {
-  std::vector<Bucket> out;
-  out.reserve(counts_.size());
-  for (const auto& [index, n] : counts_) {
-    out.push_back(Bucket{bucket_low(index), bucket_low(index + 1), n});
-  }
-  return out;
+  return quantile_at(p / 100.0);
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t buckets)

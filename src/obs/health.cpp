@@ -4,6 +4,8 @@
 #include <ostream>
 #include <string>
 
+#include "src/obs/json_text.hpp"
+
 namespace harl::obs {
 
 HealthMonitor::HealthMonitor(Options options, Sink* downstream)
@@ -30,7 +32,31 @@ HealthMonitor::HealthMonitor(Options options, Sink* downstream)
       m_slo_tenant_total_(metrics_.family("health.slo.tenant_total",
                                           MetricsRegistry::Kind::kCounter)),
       m_slo_tenant_met_(metrics_.family("health.slo.tenant_met",
-                                        MetricsRegistry::Kind::kCounter)) {}
+                                        MetricsRegistry::Kind::kCounter)),
+      windows_scored_(m_windows_scored_, LabelSet{}) {
+  for (const IoOp op : {IoOp::kRead, IoOp::kWrite}) {
+    const std::size_t o = op == IoOp::kRead ? 0 : 1;
+    slo_req_total_[o] = Series{m_slo_req_total_, LabelSet{}.op(op)};
+    slo_req_met_[o] = Series{m_slo_req_met_, LabelSet{}.op(op)};
+  }
+}
+
+HealthMonitor::ServerState& HealthMonitor::server_state(std::uint32_t server) {
+  while (servers_.size() <= server) {
+    const LabelSet l =
+        LabelSet{}.server(static_cast<std::uint32_t>(servers_.size()));
+    ServerState st;
+    st.slo_total_series = Series{m_slo_sub_total_, l};
+    st.slo_met_series = Series{m_slo_sub_met_, l};
+    st.score_series = Series{m_score_, l};
+    st.flagged_series = Series{m_flagged_, l};
+    st.recovered_series = Series{m_recovered_, l};
+    servers_.push_back(std::move(st));
+  }
+  ServerState& st = servers_[server];
+  st.present = true;
+  return st;
+}
 
 // --- registration (own track ids so server attribution survives a null
 // downstream) ----------------------------------------------------------------
@@ -55,7 +81,7 @@ std::uint32_t HealthMonitor::register_server(std::uint32_t server,
   t.server = server;
   t.is_server_disk = true;
   tracks_.push_back(t);
-  servers_[server];  // materialize state so an idle server still reports
+  server_state(server);  // an idle server still reports
   return static_cast<std::uint32_t>(tracks_.size() - 1);
 }
 
@@ -74,12 +100,8 @@ void HealthMonitor::resource_event(std::uint32_t track, Seconds arrival,
   advance(arrival);
   if (track < tracks_.size() && tracks_[track].is_server_disk) {
     const std::uint32_t server = tracks_[track].server;
-    ServerState& s = servers_[server];
-    while (!s.inflight.empty() && s.inflight.top() <= arrival) {
-      s.inflight.pop();
-    }
-    s.inflight.push(finish);
-    ts_.record_depth(server, arrival, s.inflight.size());
+    ServerState& s = server_state(server);
+    ts_.record_depth(server, arrival, s.inflight.admit(arrival, finish));
     ts_.record_span(server, arrival, start, finish);
   }
   if (downstream_ != nullptr && track < tracks_.size() &&
@@ -155,13 +177,12 @@ void HealthMonitor::sub_storage(std::uint32_t sub, Seconds arrival,
     if (options_.slo > 0.0 && s.server != kNoId) {
       // Server-resident time: queue wait plus the full storage service.
       const Seconds resident = (start - arrival) + service;
-      ServerState& st = servers_[s.server];
+      ServerState& st = server_state(s.server);
       ++st.slo_total;
-      const LabelSet labels = LabelSet{}.server(s.server);
-      metrics_.add(m_slo_sub_total_, labels, 1.0);
+      metrics_.add(st.slo_total_series, 1.0);
       if (resident <= options_.slo) {
         ++st.slo_met;
-        metrics_.add(m_slo_sub_met_, labels, 1.0);
+        metrics_.add(st.slo_met_series, 1.0);
       }
     }
     if (downstream_ != nullptr && s.down != kNoId) {
@@ -190,22 +211,27 @@ void HealthMonitor::end_request(std::uint32_t request, Seconds now) {
     if (options_.slo > 0.0) {
       const std::size_t op = r.op == IoOp::kRead ? 0 : 1;
       ++req_total_[op];
-      const LabelSet labels = LabelSet{}.op(r.op);
-      metrics_.add(m_slo_req_total_, labels, 1.0);
+      metrics_.add(slo_req_total_[op], 1.0);
       const bool met = now - r.issue <= options_.slo;
       if (met) {
         ++req_met_[op];
-        metrics_.add(m_slo_req_met_, labels, 1.0);
+        metrics_.add(slo_req_met_[op], 1.0);
       }
       if (r.file != kNoId && r.file < tenant_of_.size()) {
         const std::uint32_t tenant = tenant_of_[r.file];
+        while (tenant_slo_.size() <= tenant) {
+          const LabelSet tl = LabelSet{}.tenant(
+              static_cast<std::uint32_t>(tenant_slo_.size()));
+          tenant_slo_.push_back(TenantSlo{0, 0,
+                                          Series{m_slo_tenant_total_, tl},
+                                          Series{m_slo_tenant_met_, tl}});
+        }
         TenantSlo& ts = tenant_slo_[tenant];
         ++ts.total;
-        const LabelSet tl = LabelSet{}.tenant(tenant);
-        metrics_.add(m_slo_tenant_total_, tl, 1.0);
+        metrics_.add(ts.total_series, 1.0);
         if (met) {
           ++ts.met;
-          metrics_.add(m_slo_tenant_met_, tl, 1.0);
+          metrics_.add(ts.met_series, 1.0);
         }
       }
     }
@@ -274,23 +300,23 @@ void HealthMonitor::score_window(std::int64_t w) {
                             ? means[n / 2]
                             : 0.5 * (means[n / 2 - 1] + means[n / 2]);
   if (!(median > 0.0)) return;
-  metrics_.add(m_windows_scored_, LabelSet{}, 1.0);
+  metrics_.add(windows_scored_, 1.0);
   const Seconds window_end =
       static_cast<double>(w + 1) * options_.interval;
   for (const auto& s : stats) {
     if (s.jobs < options_.min_window_jobs) continue;
     const double score = s.lat_mean / median;
-    ServerState& st = servers_[s.server];
+    ServerState& st = server_state(s.server);
     st.score = score;
     st.scored = true;
-    metrics_.set(m_score_, LabelSet{}.server(s.server), score);
+    metrics_.set(st.score_series, score);
     if (score >= options_.flag_threshold) {
       ++st.flag_streak;
       st.recover_streak = 0;
       if (!st.flagged && st.flag_streak >= options_.flag_windows) {
         st.flagged = true;
         ++st.flag_count;
-        metrics_.add(m_flagged_, LabelSet{}.server(s.server), 1.0);
+        metrics_.add(st.flagged_series, 1.0);
         if (downstream_ != nullptr) {
           downstream_->health_event(HealthEvent::kStragglerFlagged, s.server,
                                     score, window_end);
@@ -302,7 +328,7 @@ void HealthMonitor::score_window(std::int64_t w) {
       if (st.flagged && st.recover_streak >= options_.recover_windows) {
         st.flagged = false;
         ++st.recover_count;
-        metrics_.add(m_recovered_, LabelSet{}.server(s.server), 1.0);
+        metrics_.add(st.recovered_series, 1.0);
         if (downstream_ != nullptr) {
           downstream_->health_event(HealthEvent::kStragglerRecovered,
                                     s.server, score, window_end);
@@ -333,24 +359,23 @@ void HealthMonitor::finalize() {
 // --- results -----------------------------------------------------------------
 
 double HealthMonitor::server_score(std::uint32_t server) const {
-  auto it = servers_.find(server);
-  return it == servers_.end() ? 0.0 : it->second.score;
+  return server < servers_.size() ? servers_[server].score : 0.0;
 }
 
 bool HealthMonitor::is_flagged(std::uint32_t server) const {
-  auto it = servers_.find(server);
-  return it != servers_.end() && it->second.flagged;
+  return server < servers_.size() && servers_[server].flagged;
 }
 
 double HealthMonitor::tenant_slo_attainment(std::uint32_t tenant) const {
-  auto it = tenant_slo_.find(tenant);
-  if (it == tenant_slo_.end() || it->second.total == 0) return 1.0;
-  return static_cast<double>(it->second.met) /
-         static_cast<double>(it->second.total);
+  if (tenant >= tenant_slo_.size() || tenant_slo_[tenant].total == 0) {
+    return 1.0;
+  }
+  return static_cast<double>(tenant_slo_[tenant].met) /
+         static_cast<double>(tenant_slo_[tenant].total);
 }
 
-void HealthMonitor::write_json(std::ostream& out, int indent) const {
-  out.precision(17);
+void HealthMonitor::write_json(std::ostream& os, int indent) const {
+  JsonText out(os);
   const std::string pad(static_cast<std::size_t>(indent), ' ');
   out << "{\n" << pad << "  \"interval_s\": " << options_.interval << ",\n"
       << pad << "  \"slo_s\": " << options_.slo << ",\n"
@@ -364,7 +389,9 @@ void HealthMonitor::write_json(std::ostream& out, int indent) const {
   if (!tenant_slo_.empty()) {
     out << pad << "  \"tenants\": [";
     bool tf = true;
-    for (const auto& [tenant, s] : tenant_slo_) {
+    for (std::size_t tenant = 0; tenant < tenant_slo_.size(); ++tenant) {
+      const TenantSlo& s = tenant_slo_[tenant];
+      if (s.total == 0) continue;
       if (!tf) out << ",";
       tf = false;
       out << "\n" << pad << "    {\"tenant\": " << tenant
@@ -379,7 +406,9 @@ void HealthMonitor::write_json(std::ostream& out, int indent) const {
   }
   out << pad << "  \"servers\": [";
   bool first = true;
-  for (const auto& [id, s] : servers_) {
+  for (std::size_t id = 0; id < servers_.size(); ++id) {
+    const ServerState& s = servers_[id];
+    if (!s.present) continue;
     if (!first) out << ",";
     first = false;
     out << "\n" << pad << "    {\"server\": " << id

@@ -28,12 +28,11 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
-#include <queue>
 #include <vector>
 
 #include "src/common/io.hpp"
 #include "src/common/units.hpp"
+#include "src/obs/inflight.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/sink.hpp"
 #include "src/obs/timeseries.hpp"
@@ -122,7 +121,13 @@ class HealthMonitor final : public Sink {
     std::uint32_t server = kNoId;  ///< global server index (disk tracks)
     bool is_server_disk = false;
   };
+  using Series = MetricsRegistry::Series;
+
+  /// Per-server state, indexed by global server id.  `present` marks the
+  /// servers the JSON reports: registered ones plus any that reached the
+  /// SLO or scoring paths.
   struct ServerState {
+    bool present = false;
     double score = 0.0;
     bool scored = false;
     bool flagged = false;
@@ -132,8 +137,10 @@ class HealthMonitor final : public Sink {
     std::uint64_t recover_count = 0;
     std::uint64_t slo_total = 0;  ///< storage subs checked against the SLO
     std::uint64_t slo_met = 0;
-    /// Finish times of in-flight storage jobs (queue-depth tracking).
-    std::priority_queue<double, std::vector<double>, std::greater<>> inflight;
+    InflightJobs inflight;  ///< in-flight storage jobs (queue depth)
+    // {server} handles, resolved on first use.
+    Series slo_total_series, slo_met_series, score_series, flagged_series,
+        recovered_series;
   };
   struct PendingReq {
     std::uint32_t down = kNoId;
@@ -156,13 +163,15 @@ class HealthMonitor final : public Sink {
   void advance(Seconds t);
   void score_window(std::int64_t w);
   void free_sub(std::uint32_t sub);
+  /// State of `server`, marked present (grows the table on first use).
+  ServerState& server_state(std::uint32_t server);
 
   Options options_;
   Sink* downstream_;
   TimeSeries ts_;
 
   std::vector<Track> tracks_;
-  std::map<std::uint32_t, ServerState> servers_;
+  std::vector<ServerState> servers_;
 
   std::vector<PendingReq> reqs_;
   std::vector<std::uint32_t> req_free_;
@@ -177,12 +186,14 @@ class HealthMonitor final : public Sink {
   std::uint64_t req_total_[2] = {0, 0};
   std::uint64_t req_met_[2] = {0, 0};
 
-  /// Per-tenant whole-request SLO attainment (namespace runs only).
+  /// Per-tenant whole-request SLO attainment (namespace runs only), by
+  /// tenant id; tenants with total == 0 completed no checked request.
   struct TenantSlo {
     std::uint64_t total = 0;
     std::uint64_t met = 0;
+    Series total_series, met_series;  // {tenant}
   };
-  std::map<std::uint32_t, TenantSlo> tenant_slo_;
+  std::vector<TenantSlo> tenant_slo_;
   std::vector<std::uint32_t> tenant_of_;  // by FileId; empty = no tenants
 
   MetricsRegistry metrics_;
@@ -196,6 +207,8 @@ class HealthMonitor final : public Sink {
   MetricsRegistry::FamilyId m_slo_sub_met_;
   MetricsRegistry::FamilyId m_slo_tenant_total_;
   MetricsRegistry::FamilyId m_slo_tenant_met_;
+  Series windows_scored_;                       // {}
+  Series slo_req_total_[2], slo_req_met_[2];    // {op}, by op
 };
 
 }  // namespace harl::obs

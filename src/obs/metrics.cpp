@@ -4,29 +4,15 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "src/obs/json_text.hpp"
+
 namespace harl::obs {
 
 namespace {
 
-/// Minimal JSON string escaping (metric names are plain identifiers, but a
-/// malformed name must not produce malformed JSON).
-void write_escaped(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default: out << c;
-    }
-  }
-  out << '"';
-}
-
-void write_labels(std::ostream& out, const LabelSet& labels) {
+void write_labels(JsonText& out, const LabelSet& labels) {
   bool first = true;
-  auto field = [&](const char* key, bool present, auto&& value) {
+  auto field = [&](const char* key, bool present, std::uint32_t value) {
     if (!present) return;
     out << (first ? "" : ", ");
     first = false;
@@ -51,30 +37,21 @@ void write_labels(std::ostream& out, const LabelSet& labels) {
   out << '}';
 }
 
-void write_histogram(std::ostream& out, const LogHistogram& h) {
-  out << "\"count\": " << h.count() << ", \"sum\": " << h.sum()
-      << ", \"min\": " << h.min() << ", \"max\": " << h.max()
-      << ", \"mean\": " << h.mean() << ", \"p50\": " << h.percentile(50.0)
-      << ", \"p95\": " << h.percentile(95.0)
-      << ", \"p99\": " << h.percentile(99.0) << ", \"buckets\": [";
+/// Shared body of the histogram and sketch series objects; sketches add a
+/// p999.  The quantiles are the ones percentile(50/95/99) and
+/// quantile(0.999) return (p / 100.0 is correctly rounded), from one scan.
+void write_distribution(JsonText& out, const LogBuckets& d, bool p999) {
+  static constexpr double kQs[] = {0.5, 0.95, 0.99, 0.999};
+  double q[4];
+  d.quantiles_at({kQs, p999 ? 4u : 3u}, q);
+  out << "\"count\": " << d.count() << ", \"sum\": " << d.sum()
+      << ", \"min\": " << d.min() << ", \"max\": " << d.max()
+      << ", \"mean\": " << d.mean() << ", \"p50\": " << q[0]
+      << ", \"p95\": " << q[1] << ", \"p99\": " << q[2];
+  if (p999) out << ", \"p999\": " << q[3];
+  out << ", \"buckets\": [";
   bool first = true;
-  for (const auto& b : h.buckets()) {
-    if (!first) out << ", ";
-    first = false;
-    out << '[' << b.lo << ", " << b.hi << ", " << b.count << ']';
-  }
-  out << ']';
-}
-
-void write_sketch(std::ostream& out, const QuantileSketch& s) {
-  out << "\"count\": " << s.count() << ", \"sum\": " << s.sum()
-      << ", \"min\": " << s.min() << ", \"max\": " << s.max()
-      << ", \"mean\": " << s.mean() << ", \"p50\": " << s.percentile(50.0)
-      << ", \"p95\": " << s.percentile(95.0)
-      << ", \"p99\": " << s.percentile(99.0)
-      << ", \"p999\": " << s.quantile(0.999) << ", \"buckets\": [";
-  bool first = true;
-  for (const auto& b : s.buckets()) {
+  for (const auto& b : d.buckets()) {
     if (!first) out << ", ";
     first = false;
     out << '[' << b.lo << ", " << b.hi << ", " << b.count << ']';
@@ -120,29 +97,10 @@ std::size_t MetricsRegistry::series_index(Family& f, LabelSet labels) {
   return it->second;
 }
 
-void MetricsRegistry::add(FamilyId family, LabelSet labels, double delta) {
-  Family& f = families_.at(family);
-  f.scalars[series_index(f, labels)] += delta;
-}
-
-void MetricsRegistry::set(FamilyId family, LabelSet labels, double value) {
-  Family& f = families_.at(family);
-  f.scalars[series_index(f, labels)] = value;
-}
-
 void MetricsRegistry::set_max(FamilyId family, LabelSet labels, double value) {
-  Family& f = families_.at(family);
-  double& slot = f.scalars[series_index(f, labels)];
+  Series series(family, labels);
+  double& slot = scalar(series);
   slot = std::max(slot, value);
-}
-
-void MetricsRegistry::observe(FamilyId family, LabelSet labels, double value) {
-  Family& f = families_.at(family);
-  if (f.kind == Kind::kSketch) {
-    f.sketches[series_index(f, labels)].add(value);
-  } else {
-    f.histograms[series_index(f, labels)].add(value);
-  }
 }
 
 MetricsRegistry::Family* MetricsRegistry::find(std::string_view name) {
@@ -214,8 +172,9 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
   }
 }
 
-void MetricsRegistry::write_json(std::ostream& out, int indent) const {
-  out.precision(17);  // round-trip doubles: 6 digits would corrupt merges
+void MetricsRegistry::write_json(std::ostream& os, int indent) const {
+  // Round-trip doubles: 6 digits would corrupt merges.
+  JsonText out(os);
   const std::string pad(static_cast<std::size_t>(indent), ' ');
   std::vector<std::size_t> order(families_.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -235,7 +194,7 @@ void MetricsRegistry::write_json(std::ostream& out, int indent) const {
       if (!first_series) out << ",";
       first_series = false;
       out << "\n" << pad << "  {\"name\": ";
-      write_escaped(out, f.name);
+      out.quoted(f.name);
       out << ", \"type\": \""
           << (f.kind == Kind::kCounter
                   ? "counter"
@@ -246,9 +205,9 @@ void MetricsRegistry::write_json(std::ostream& out, int indent) const {
       write_labels(out, LabelSet::from_bits(key.bits, key.ext));
       out << ", ";
       if (f.kind == Kind::kHistogram) {
-        write_histogram(out, f.histograms[idx]);
+        write_distribution(out, f.histograms[idx], false);
       } else if (f.kind == Kind::kSketch) {
-        write_sketch(out, f.sketches[idx]);
+        write_distribution(out, f.sketches[idx], true);
       } else {
         out << "\"value\": " << f.scalars[idx];
       }

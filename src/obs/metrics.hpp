@@ -4,7 +4,10 @@
 // A metric *family* is registered once by name (cold path) and returns a
 // small integer id; every observation then carries a packed 64-bit
 // `LabelSet` (server id, tier, region, op, client — each field optional), so
-// the hot enabled path hashes one integer instead of strings.  Registries
+// a keyed observation hashes one integer instead of strings.  Per-job hot
+// paths go one step further and hold a `Series` handle per label set: the
+// handle resolves its series on its first observation (so no empty series
+// ever reaches the JSON) and indexes it directly afterwards.  Registries
 // are single-threaded by design — one per Simulator/replica — and
 // `merge()` combines them deterministically afterwards, which is how the
 // parallel harness aggregates per-replica metrics without locks.
@@ -96,14 +99,53 @@ class MetricsRegistry {
   /// Registers (or finds) the family `name`; the kind must match on reuse.
   FamilyId family(std::string_view name, Kind kind);
 
+  /// Handle to one (family, labels) series for per-job hot paths.  Creating
+  /// a handle touches no registry; the series is created (or found) on the
+  /// handle's first observation and indexed directly from then on.  A
+  /// handle belongs to the one registry it is first used with.
+  class Series {
+   public:
+    Series() = default;
+    Series(FamilyId family, LabelSet labels)
+        : family_(family), labels_(labels) {}
+
+   private:
+    friend class MetricsRegistry;
+    static constexpr std::size_t kUnresolved = ~std::size_t{0};
+    FamilyId family_ = 0;
+    LabelSet labels_;
+    std::size_t index_ = kUnresolved;
+  };
+
   /// counter += delta.
-  void add(FamilyId family, LabelSet labels, double delta);
+  void add(FamilyId family, LabelSet labels, double delta) {
+    Series series(family, labels);
+    add(series, delta);
+  }
   /// gauge = value (last write wins).
-  void set(FamilyId family, LabelSet labels, double value);
+  void set(FamilyId family, LabelSet labels, double value) {
+    Series series(family, labels);
+    set(series, value);
+  }
   /// gauge = max(gauge, value).
   void set_max(FamilyId family, LabelSet labels, double value);
   /// histogram or sketch <- value (dispatches on the family's kind).
-  void observe(FamilyId family, LabelSet labels, double value);
+  void observe(FamilyId family, LabelSet labels, double value) {
+    Series series(family, labels);
+    observe(series, value);
+  }
+
+  /// The same updates through a handle (no lookup once resolved).
+  void add(Series& series, double delta) { scalar(series) += delta; }
+  void set(Series& series, double value) { scalar(series) = value; }
+  void observe(Series& series, double value) {
+    Family& f = resolve(series);
+    if (f.kind == Kind::kSketch) {
+      f.sketches[series.index_].add(value);
+    } else {
+      f.histograms[series.index_].add(value);
+    }
+  }
 
   /// Reads back a scalar (counter/gauge); 0 when the series doesn't exist.
   double value(std::string_view name, LabelSet labels = {}) const;
@@ -158,6 +200,18 @@ class MetricsRegistry {
   Family* find(std::string_view name);
   const Family* find(std::string_view name) const;
   std::size_t series_index(Family& f, LabelSet labels);
+  /// Resolves `series` on first use; returns its family.
+  Family& resolve(Series& series) {
+    Family& f = families_.at(series.family_);
+    if (series.index_ == Series::kUnresolved) {
+      series.index_ = series_index(f, series.labels_);
+    }
+    return f;
+  }
+  double& scalar(Series& series) {
+    Family& f = resolve(series);
+    return f.scalars[series.index_];
+  }
 
   std::vector<Family> families_;
   std::unordered_map<std::string, FamilyId> by_name_;

@@ -5,22 +5,22 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "src/obs/json_text.hpp"
+
 namespace harl::obs {
 
 namespace {
 
-void write_escaped(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default: out << c;
-    }
-  }
-  out << '"';
+std::size_t op_index(IoOp op) { return op == IoOp::kRead ? 0 : 1; }
+
+/// Health scores travel as micro-units in a trace event's integer slot.  A
+/// score is a ratio of means and reaches inf when the fleet median is
+/// denormal; the conversion saturates instead of overflowing (NaN -> 0).
+std::uint64_t score_micros(double score) {
+  const double v = score * 1e6;
+  if (!(v > 0.0)) return 0;
+  if (v >= 18446744073709551616.0) return ~std::uint64_t{0};  // 2^64
+  return static_cast<std::uint64_t>(v);
 }
 
 double to_us(Seconds t) { return t * 1e6; }
@@ -48,7 +48,7 @@ Timeline::Timeline(Seconds initial_width, std::size_t max_buckets,
   }
 }
 
-void Timeline::fit(Seconds t) {
+void Timeline::coalesce(Seconds t) {
   while (t >= width_ * static_cast<double>(max_buckets_)) {
     // Coalesce adjacent pairs; the bucket width doubles.
     const std::size_t half = (values_.size() + 1) / 2;
@@ -114,6 +114,10 @@ Recorder::Recorder(Options options) : options_(options) {
   m_mds_time_ = metrics_.family("pfs.mds.time", Kind::kSketch);
   m_file_bytes_ = metrics_.family("pfs.file.bytes", Kind::kCounter);
   m_file_latency_ = metrics_.family("pfs.file.latency", Kind::kHistogram);
+  for (const IoOp op : {IoOp::kRead, IoOp::kWrite}) {
+    latency_[op_index(op)] = Series{m_latency_, LabelSet{}.op(op)};
+  }
+  mds_time_ = Series{m_mds_time_, LabelSet{}};
   if (options_.max_trace_events > 0) {
     events_.reserve(options_.max_trace_events);
   }
@@ -133,9 +137,70 @@ std::uint32_t Recorder::register_server(std::uint32_t server,
   const std::uint32_t id = track(name, TrackKind::kServerDisk, server);
   tracks_[id].tier = tier;
   tracks_[id].is_ssd = is_ssd;
-  if (server >= servers_.size()) servers_.resize(server + 1);
-  servers_[server] = ServerMeta{id, tier, kNoId, is_ssd};
+  server_meta(server) = make_server_meta(server, id, tier, is_ssd);
   return id;
+}
+
+Recorder::ServerMeta Recorder::make_server_meta(std::uint32_t server,
+                                                std::uint32_t track,
+                                                std::uint32_t tier,
+                                                bool is_ssd) const {
+  ServerMeta m;
+  m.track = track;
+  m.tier = tier;
+  m.is_ssd = is_ssd;
+  m.region_switches =
+      Series{m_region_switches_, LabelSet{}.server(server).tier(tier)};
+  for (const IoOp op : {IoOp::kRead, IoOp::kWrite}) {
+    const std::size_t o = op_index(op);
+    const LabelSet sto = LabelSet{}.server(server).tier(tier).op(op);
+    m.accesses[o] = Series{m_accesses_, sto};
+    m.bytes[o] = Series{m_bytes_, sto};
+    m.pieces[o] = Series{m_pieces_, sto};
+    m.server_time[o] = Series{m_server_time_, sto};
+    const LabelSet to = LabelSet{}.tier(tier).op(op);
+    m.wait[o] = Series{m_wait_, to};
+    m.t_s[o] = Series{m_ts_, to};
+    m.t_t[o] = Series{m_tt_, to};
+    m.t_x[o] = Series{m_tx_, to};
+  }
+  return m;
+}
+
+Recorder::ServerMeta& Recorder::server_meta(std::uint32_t server) {
+  while (servers_.size() <= server) {
+    servers_.push_back(make_server_meta(
+        static_cast<std::uint32_t>(servers_.size()), kNoId, kNoId, false));
+  }
+  return servers_[server];
+}
+
+Recorder::FileSeries& Recorder::file_series(std::uint32_t file) {
+  while (file_series_.size() <= file) {
+    const auto f = static_cast<std::uint32_t>(file_series_.size());
+    LabelSet fl = LabelSet{}.file(f);
+    if (f < tenant_of_.size()) fl.tenant(tenant_of_[f]);
+    FileSeries fs;
+    for (const IoOp op : {IoOp::kRead, IoOp::kWrite}) {
+      fs.bytes[op_index(op)] = Series{m_file_bytes_, LabelSet{fl}.op(op)};
+      fs.latency[op_index(op)] = Series{m_file_latency_, LabelSet{fl}.op(op)};
+    }
+    file_series_.push_back(fs);
+  }
+  return file_series_[file];
+}
+
+Recorder::Series& Recorder::rel_error_series(std::uint32_t region, IoOp op) {
+  const std::size_t slot = region == kNoId ? 0 : std::size_t{region} + 1;
+  while (rel_error_.size() <= slot) {
+    const std::size_t k = rel_error_.size();
+    const LabelSet rl =
+        k == 0 ? LabelSet{}.region(kNoId)
+               : LabelSet{}.region(static_cast<std::uint32_t>(k - 1));
+    rel_error_.push_back({Series{m_rel_error_, LabelSet{rl}.op(IoOp::kRead)},
+                          Series{m_rel_error_, LabelSet{rl}.op(IoOp::kWrite)}});
+  }
+  return rel_error_[slot][op_index(op)];
 }
 
 std::uint32_t Recorder::register_client(std::uint32_t client) {
@@ -178,16 +243,15 @@ void Recorder::resource_event(std::uint32_t track, Seconds arrival,
   t.busy_timeline.add_span(start, finish);
   // Per-track arrivals are monotone (instrumentation fires at submission in
   // event order), so popping finished jobs gives the exact in-flight count.
-  while (!t.inflight.empty() && t.inflight.top() <= arrival) t.inflight.pop();
-  t.inflight.push(finish);
-  const auto depth = static_cast<std::uint64_t>(t.inflight.size());
+  const auto depth =
+      static_cast<std::uint64_t>(t.inflight.admit(arrival, finish));
   t.depth_max = std::max(t.depth_max, depth);
   t.depth_timeline.sample_max(arrival, static_cast<double>(depth));
   if (t.is_mds) {
     // MDS resident time (queue wait + lookup service): contention across
     // colliding opens shows up in this sketch's tail exactly as the
     // per-server pfs.server.time sketches expose storage stragglers.
-    metrics_.observe(m_mds_time_, LabelSet{}, finish - arrival);
+    metrics_.observe(mds_time_, finish - arrival);
   }
   if (options_.trace) {
     push_event(TraceEvent{start, service, track, EventType::kService, 0xFF,
@@ -203,16 +267,14 @@ void Recorder::server_access(std::uint32_t server, IoOp op,
                              std::uint32_t region, Bytes bytes, Bytes pieces,
                              Seconds now) {
   note_time(now);
-  if (server >= servers_.size()) servers_.resize(server + 1);
-  ServerMeta& meta = servers_[server];
-  const LabelSet labels = LabelSet{}.server(server).tier(meta.tier).op(op);
-  metrics_.add(m_accesses_, labels, 1.0);
-  metrics_.add(m_bytes_, labels, static_cast<double>(bytes));
-  metrics_.add(m_pieces_, labels, static_cast<double>(pieces));
+  ServerMeta& meta = server_meta(server);
+  const std::size_t o = op_index(op);
+  metrics_.add(meta.accesses[o], 1.0);
+  metrics_.add(meta.bytes[o], static_cast<double>(bytes));
+  metrics_.add(meta.pieces[o], static_cast<double>(pieces));
   if (meta.last_region != region) {
     if (meta.last_region != kNoId) {
-      metrics_.add(m_region_switches_,
-                   LabelSet{}.server(server).tier(meta.tier), 1.0);
+      metrics_.add(meta.region_switches, 1.0);
       if (options_.trace && meta.track != kNoId) {
         push_event(TraceEvent{now, 0.0, meta.track, EventType::kInstant, 0xFF,
                               0, region});
@@ -235,13 +297,14 @@ std::uint32_t Recorder::begin_request(std::uint32_t client, IoOp op,
     req_slots_.emplace_back();
   }
   ActiveRequest& r = req_slots_[id];
-  r = ActiveRequest{};
   r.client = client;
   r.op = op;
   r.offset = offset;
   r.size = size;
+  r.region = kNoId;
   r.file = file;
   r.issue = now;
+  r.subs.clear();  // the slot's vector stays warm across requests
   return id;
 }
 
@@ -298,11 +361,10 @@ void Recorder::sub_net_done(std::uint32_t sub, Seconds now) {
 void Recorder::finalize_sub(std::uint32_t sub, Seconds t_x, Seconds done) {
   ActiveSub& s = sub_slots_[sub];
   note_time(done);
-  const std::uint32_t tier =
-      s.server < servers_.size() ? servers_[s.server].tier : kNoId;
+  ServerMeta& meta = server_meta(s.server);
   SubSample sample;
   sample.server = s.server;
-  sample.tier = tier;
+  sample.tier = meta.tier;
   sample.region = s.region;
   sample.bytes = s.bytes;
   sample.issue = s.issue;
@@ -314,15 +376,14 @@ void Recorder::finalize_sub(std::uint32_t sub, Seconds t_x, Seconds done) {
   if (s.request < req_slots_.size()) {
     ActiveRequest& r = req_slots_[s.request];
     r.subs.push_back(sample);
-    const LabelSet labels = LabelSet{}.tier(tier).op(r.op);
-    metrics_.observe(m_wait_, labels, sample.wait);
-    metrics_.observe(m_ts_, labels, sample.t_s);
-    metrics_.observe(m_tt_, labels, sample.t_t);
-    metrics_.observe(m_tx_, labels, sample.t_x);
+    const std::size_t o = op_index(r.op);
+    metrics_.observe(meta.wait[o], sample.wait);
+    metrics_.observe(meta.t_s[o], sample.t_s);
+    metrics_.observe(meta.t_t[o], sample.t_t);
+    metrics_.observe(meta.t_x[o], sample.t_x);
     // Server-resident time per {server,tier,op}: the straggler scheduler's
     // per-server tail input (p50/p95/p99/p999 via the sketch family).
-    metrics_.observe(m_server_time_,
-                     LabelSet{}.server(s.server).tier(tier).op(r.op),
+    metrics_.observe(meta.server_time[o],
                      sample.wait + sample.t_s + sample.t_t);
   }
   sub_free_.push_back(sub);
@@ -343,22 +404,20 @@ void Recorder::end_request(std::uint32_t request, Seconds now) {
   sample.file = r.file;
   sample.issue = r.issue;
   sample.done = now;
-  sample.subs = std::move(r.subs);
 
-  metrics_.observe(m_latency_, LabelSet{}.op(r.op), now - r.issue);
+  const std::size_t o = op_index(r.op);
+  metrics_.observe(latency_[o], now - r.issue);
   if (r.file != kNoId) {
-    const LabelSet fl = file_labels(r.file);
-    metrics_.add(m_file_bytes_, LabelSet{fl}.op(r.op),
-                 static_cast<double>(r.size));
-    metrics_.observe(m_file_latency_, LabelSet{fl}.op(r.op), now - r.issue);
+    FileSeries& fs = file_series(r.file);
+    metrics_.add(fs.bytes[o], static_cast<double>(r.size));
+    metrics_.observe(fs.latency[o], now - r.issue);
   }
   if (predictor_) {
     sample.predicted = predictor_(r.op, r.offset, r.size);
     if (sample.predicted > 0.0 && now > r.issue) {
       const double rel =
           std::abs(sample.predicted - (now - r.issue)) / (now - r.issue);
-      metrics_.observe(m_rel_error_, LabelSet{}.region(r.region).op(r.op),
-                       rel);
+      metrics_.observe(rel_error_series(r.region, r.op), rel);
     }
   }
 
@@ -371,22 +430,20 @@ void Recorder::end_request(std::uint32_t request, Seconds now) {
   }
 
   if (options_.max_request_samples > 0) {
+    RequestSample* kept = nullptr;
     if (samples_.size() < options_.max_request_samples) {
-      samples_.push_back(std::move(sample));
+      kept = &samples_.emplace_back();
     } else {
-      samples_[samples_next_] = std::move(sample);
+      kept = &samples_[samples_next_];
       samples_next_ = (samples_next_ + 1) % samples_.size();
     }
+    // One bulk copy into the ring (reusing the evicted sample's vector)
+    // instead of growing a cold ring vector one sub-request at a time.
+    sample.subs = std::move(kept->subs);
+    sample.subs.assign(r.subs.begin(), r.subs.end());
+    *kept = std::move(sample);
   }
   req_free_.push_back(request);
-}
-
-LabelSet Recorder::file_labels(std::uint32_t file) const {
-  LabelSet l;
-  if (file == kNoId) return l;
-  l.file(file);
-  if (file < tenant_of_.size()) l.tenant(tenant_of_[file]);
-  return l;
 }
 
 void Recorder::adaptive_event(AdaptiveEvent event, std::uint32_t epoch,
@@ -416,7 +473,7 @@ void Recorder::health_event(HealthEvent event, std::uint32_t server,
   push_event(TraceEvent{
       now, 0.0, health_track_, EventType::kInstant,
       static_cast<std::uint8_t>(0x80u | static_cast<std::uint8_t>(event)),
-      server, static_cast<std::uint64_t>(score * 1e6)});
+      server, score_micros(score)});
 }
 
 std::vector<Recorder::ResourceSummary> Recorder::resource_summaries() const {
@@ -444,12 +501,13 @@ std::vector<Recorder::ResourceSummary> Recorder::resource_summaries() const {
 
 // --- export -----------------------------------------------------------------
 
-void Recorder::append_trace_events(std::ostream& out, std::uint32_t pid,
+void Recorder::append_trace_events(std::ostream& os, std::uint32_t pid,
                                    std::string_view process_name,
                                    bool& first) const {
-  // Round-trip precision: the default 6 significant digits would round
-  // microsecond timestamps enough to make adjacent spans appear to overlap.
-  out.precision(17);
+  // Round-trip precision (JsonText prints 17 digits): 6 significant digits
+  // would round microsecond timestamps enough to make adjacent spans appear
+  // to overlap.
+  JsonText out(os);
   auto sep = [&] {
     if (!first) out << ",";
     first = false;
@@ -459,13 +517,13 @@ void Recorder::append_trace_events(std::ostream& out, std::uint32_t pid,
   sep();
   out << "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": " << pid
       << ", \"tid\": 0, \"args\": {\"name\": ";
-  write_escaped(out, process_name);
+  out.quoted(process_name);
   out << "}}";
   for (std::size_t i = 0; i < tracks_.size(); ++i) {
     sep();
     out << "{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": " << pid
         << ", \"tid\": " << i + 1 << ", \"args\": {\"name\": ";
-    write_escaped(out, tracks_[i].name);
+    out.quoted(tracks_[i].name);
     out << "}}";
     sep();
     out << "{\"ph\": \"M\", \"name\": \"thread_sort_index\", \"pid\": " << pid
@@ -554,8 +612,8 @@ void Recorder::write_trace_json(std::ostream& out,
   out << "\n]}\n";
 }
 
-void Recorder::write_metrics_json(std::ostream& out, int indent) const {
-  out.precision(17);
+void Recorder::write_metrics_json(std::ostream& os, int indent) const {
+  JsonText out(os);
   const std::string pad(static_cast<std::size_t>(indent), ' ');
   const Seconds horizon = last_time_;
   out << "{\n";
@@ -570,7 +628,7 @@ void Recorder::write_metrics_json(std::ostream& out, int indent) const {
     if (!first) out << ",";
     first = false;
     out << "\n" << pad << "    {\"track\": " << i << ", \"name\": ";
-    write_escaped(out, t.name);
+    out.quoted(t.name);
     out << ", \"kind\": \"" << kind_name(t.kind) << "\"";
     if (t.entity != kNoId) out << ", \"entity\": " << t.entity;
     if (t.tier != kNoId) {
@@ -603,7 +661,8 @@ void Recorder::write_metrics_json(std::ostream& out, int indent) const {
   }
   out << "\n" << pad << "  ],\n";
   out << pad << "  \"metrics\": ";
-  metrics_.write_json(out, indent + 2);
+  out.flush();
+  metrics_.write_json(os, indent + 2);
   out << "\n" << pad << "}";
 }
 

@@ -22,14 +22,15 @@
 // up front.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <queue>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/obs/inflight.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/sink.hpp"
 
@@ -52,7 +53,10 @@ class Timeline {
   const std::vector<double>& values() const { return values_; }
 
  private:
-  void fit(Seconds t);
+  void fit(Seconds t) {
+    if (t >= width_ * static_cast<double>(max_buckets_)) coalesce(t);
+  }
+  void coalesce(Seconds t);
 
   Seconds width_;
   std::size_t max_buckets_;
@@ -116,6 +120,7 @@ class Recorder final : public Sink {
   /// no tenant label.
   void set_tenant_of(std::vector<std::uint32_t> tenant_of) {
     tenant_of_ = std::move(tenant_of);
+    file_series_.clear();  // labels carry the tenant: rebuild lazily
   }
 
   /// Measured decomposition of one sub-request (all in simulated seconds).
@@ -228,9 +233,8 @@ class Recorder final : public Sink {
     LogHistogram service;
     Timeline busy_timeline;
     Timeline depth_timeline;
-    /// Outstanding job finish times (min-heap): exact in-flight count at
-    /// each arrival, because per-track arrivals are monotone in a DES.
-    std::priority_queue<Seconds, std::vector<Seconds>, std::greater<>> inflight;
+    /// Outstanding jobs: exact in-flight count at each arrival.
+    InflightJobs inflight;
 
     TrackState(std::string name_, TrackKind kind_, std::uint32_t entity_,
                const Options& opts);
@@ -259,18 +263,34 @@ class Recorder final : public Sink {
     std::vector<SubSample> subs;
   };
 
+  // Hot-path metric handles (DESIGN.md §15: no hash or tree lookup per
+  // job), indexed by op (0 read, 1 write) where the labels carry one.
+  using Series = MetricsRegistry::Series;
+
   struct ServerMeta {
     std::uint32_t track = kNoId;
     std::uint32_t tier = kNoId;
     std::uint32_t last_region = kNoId;
     bool is_ssd = false;
+    // {server, tier, op}
+    Series accesses[2], bytes[2], pieces[2], server_time[2];
+    Series region_switches;  // {server, tier}
+    // {tier, op}: shared by every server of the tier (same series).
+    Series wait[2], t_s[2], t_t[2], t_x[2];
+  };
+  struct FileSeries {  // {file, tenant, op}
+    Series bytes[2], latency[2];
   };
 
   void push_event(const TraceEvent& event);
   void note_time(Seconds t) { last_time_ = std::max(last_time_, t); }
   void finalize_sub(std::uint32_t sub, Seconds t_x, Seconds done);
-  /// {file, tenant} labels for a namespace file (no-op labels for kNoId).
-  LabelSet file_labels(std::uint32_t file) const;
+  ServerMeta make_server_meta(std::uint32_t server, std::uint32_t track,
+                              std::uint32_t tier, bool is_ssd) const;
+  /// Metadata of `server`, created unregistered (tier kNoId) on first use.
+  ServerMeta& server_meta(std::uint32_t server);
+  FileSeries& file_series(std::uint32_t file);
+  Series& rel_error_series(std::uint32_t region, IoOp op);
 
   Options options_;
   MetricsRegistry metrics_;
@@ -314,6 +334,11 @@ class Recorder final : public Sink {
   MetricsRegistry::FamilyId m_mds_time_;
   MetricsRegistry::FamilyId m_file_bytes_;
   MetricsRegistry::FamilyId m_file_latency_;
+
+  Series latency_[2];                          // {op}
+  Series mds_time_;                            // {}
+  std::vector<FileSeries> file_series_;        // by FileId
+  std::vector<std::array<Series, 2>> rel_error_;  // by region + 1 (0: none)
 
   std::vector<std::uint32_t> tenant_of_;  // by FileId; empty = no tenants
 };

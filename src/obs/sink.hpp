@@ -5,10 +5,12 @@
 // observer pointer.  The default is no observer: the disabled path is one
 // pointer load and branch per instrumentation point, the dispatch loop of
 // the event engine itself is untouched, and nothing is allocated — the CI
-// overhead guard (tools/bench_sim_report.py, obs_guard_* fields of
-// bench/bench_sim_baseline.json) pins that property.  `obs::Recorder` is the
-// standard implementation: a metrics registry plus a simulated-time flight
-// recorder; tests may substitute their own sinks.
+// overhead guard (tools/bench_sim_report.py against the
+// obs_disabled_dispatch_rate_per_s / max_obs_disabled_regression fields of
+// bench/bench_sim_baseline.json) pins that property, and
+// max_obs_enabled_overhead there caps the cost of an attached recorder.
+// `obs::Recorder` is the standard implementation: a metrics registry plus a
+// simulated-time flight recorder; tests may substitute their own sinks.
 //
 // All timestamps are *simulated* seconds (sim::Time == Seconds): the trace
 // shows where simulated time goes, which is the quantity the paper's Fig. 1a

@@ -1,81 +1,37 @@
 // Mergeable log-bucket quantile sketch (the telemetry plane's distribution
 // type, DESIGN.md §15).
 //
-// Same bucket geometry as common LogHistogram — each power of two split into
-// 2^sub_bits equal-width cells, bounding any quantile's relative error by
-// 1/2^sub_bits — but stored as a *dense* contiguous count array over the
-// observed index range, so the hot-path insert is one subtract + bounds check
-// + increment instead of a map lookup.  The dense range always spans exactly
-// the touched buckets (growth is by need, never speculative), which makes the
-// representation a pure function of the multiset of samples: two sketches fed
-// the same samples in any order compare equal member-by-member, and merge()
-// is exact — merging per-replica sketches yields bit-identical state to one
-// sketch fed the combined stream.  That is the property that lets the
-// MetricsRegistry treat sketch families like counters: order-independent
-// parallel aggregation.
+// The same dense bucket core as common LogHistogram (`LogBuckets`: each power
+// of two split into 2^sub_bits equal-width cells, bounding any quantile's
+// relative error by 1/2^sub_bits), with a finer default resolution and a
+// q-in-[0, 1] quantile API.  The state is a pure function of the sample
+// multiset and merge() is exact, which is what lets the MetricsRegistry
+// treat sketch families like counters: order-independent parallel
+// aggregation.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <vector>
+#include "src/common/stats.hpp"
 
 namespace harl::obs {
 
-class QuantileSketch {
+class QuantileSketch : public LogBuckets {
  public:
   /// Relative-error knob: quantiles are exact to 1/2^sub_bits (default 6:
   /// 1.6%, tight enough that a p999 is meaningfully above a p99).
-  explicit QuantileSketch(unsigned sub_bits = 6);
+  explicit QuantileSketch(unsigned sub_bits = 6) : LogBuckets(sub_bits) {}
 
-  void add(double x);
   /// Exact merge; requires equal sub_bits (throws std::invalid_argument).
-  void merge(const QuantileSketch& other);
-  void reset();
+  void merge(const QuantileSketch& other) { merge_from(other); }
 
-  std::uint64_t count() const { return count_; }
-  std::uint64_t non_positive() const { return non_positive_; }
-  double sum() const { return sum_; }
-  double min() const { return count_ > 0 ? min_ : 0.0; }
-  double max() const { return count_ > 0 ? max_ : 0.0; }
-  double mean() const;
-
-  /// Quantile estimate, q in [0, 1]: linear interpolation inside the
-  /// containing bucket, clamped to the exact [min, max] envelope.
-  /// Non-positive samples count as the value 0.  Returns 0 when empty.
+  /// Quantile estimate, q in [0, 1] (throws std::invalid_argument outside):
+  /// see `LogBuckets::quantiles_at`.
   double quantile(double q) const;
   /// Percentile convenience, p in [0, 100] (p999 == quantile(0.999)).
   double percentile(double p) const { return quantile(p / 100.0); }
 
-  unsigned sub_bits() const { return sub_bits_; }
-
-  /// Non-empty buckets in ascending value order (excludes non-positives).
-  struct Bucket {
-    double lo = 0.0;   ///< inclusive lower bound
-    double hi = 0.0;   ///< exclusive upper bound
-    std::uint64_t count = 0;
-  };
-  std::vector<Bucket> buckets() const;
-
-  /// Member-wise equality is sample-set equality (see file comment): the
-  /// dense range spans exactly the touched buckets, so identical sample
-  /// multisets produce identical state regardless of insertion order.
+  /// Member-wise equality is sample-set equality (see LogBuckets).
   friend bool operator==(const QuantileSketch&, const QuantileSketch&) =
       default;
-
- private:
-  std::int32_t bucket_index(double x) const;
-  double bucket_low(std::int32_t index) const;
-  /// Grows counts_ to cover `index` exactly (front or back, by need).
-  std::uint64_t& slot(std::int32_t index);
-
-  unsigned sub_bits_ = 6;
-  std::int32_t base_ = 0;              ///< bucket index of counts_[0]
-  std::vector<std::uint64_t> counts_;  ///< dense [base_, base_ + size())
-  std::uint64_t count_ = 0;
-  std::uint64_t non_positive_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 }  // namespace harl::obs

@@ -1,27 +1,31 @@
 // Windowed per-server telemetry rollups in simulated time (DESIGN.md §15).
 //
 // A TimeSeries slices the simulated timeline into fixed-width windows and
-// accumulates, per window and per server: job count, latency sum and a
-// QuantileSketch of per-job latency (arrival -> finish), busy seconds
-// (service span clipped to the window for utilization), and the maximum
-// concurrent queue depth.  A fleet-level cache hit/miss byte pair rides in
-// the same windows.  Windows live in a bounded ring: when more than
-// `capacity` windows are produced the oldest are dropped and counted, never
-// silently lost.
+// accumulates, per window and per server: job count, latency sum and the
+// per-job latencies (arrival -> finish), busy seconds (service span clipped
+// to the window for utilization), and the maximum concurrent queue depth.
+// A window-server cell holds a dozen jobs or so, far fewer than the buckets
+// a latency sketch spans, so the latencies are kept raw and summarized by a
+// QuantileSketch only at export (the sketch's state is a function of the
+// sample multiset, so its quantiles are those of an incremental sketch).
+// A fleet-level cache hit/miss byte pair rides in the same windows.
+// Windows live in a bounded ring: when more than `capacity` windows are
+// produced the oldest are dropped and counted, never silently lost.  Only
+// windows that received data are kept, in ascending index order; almost
+// every record lands in the newest window, which is found without a search,
+// and each window stores its server cells densely by server id.
 //
 // Determinism: the owner (obs::HealthMonitor) feeds spans in the
 // simulator's deterministic dispatch order, and every accumulation here is
-// order-independent within a window (sums, max, sketch adds into log
-// buckets).  The JSON dump is therefore byte-identical from run to run.
+// order-independent within a window (sums, max, a sample multiset).  The
+// JSON dump is therefore byte-identical from run to run.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <vector>
 
 #include "src/common/units.hpp"
-#include "src/obs/sketch.hpp"
 
 namespace harl::obs {
 
@@ -47,7 +51,7 @@ class TimeSeries {
   void record_cache(Bytes hit_bytes, Bytes miss_bytes, Seconds now);
 
   Seconds interval() const { return interval_; }
-  std::size_t window_count() const { return windows_.size(); }
+  std::size_t window_count() const { return ring_.size(); }
   std::uint64_t dropped_windows() const { return dropped_; }
 
   /// Index of the window containing `t` (floor(t / interval)).
@@ -67,9 +71,9 @@ class TimeSeries {
   };
   std::vector<WindowServerStat> window_stats(std::int64_t w) const;
 
-  bool empty() const { return windows_.empty(); }
+  bool empty() const { return ring_.size() == 0; }
   /// Index of the newest retained window; empty() must be false.
-  std::int64_t last_window() const { return windows_.back().index; }
+  std::int64_t last_window() const { return at(ring_.size() - 1).index; }
 
   /// Columnar JSON dump: one array per column, servers sorted by id,
   /// windows oldest-first.  Deterministic (see file comment).
@@ -77,27 +81,58 @@ class TimeSeries {
 
  private:
   struct ServerCell {
+    bool present = false;  ///< the server recorded anything in the window
     std::uint64_t jobs = 0;
     double lat_sum = 0.0;
     double busy = 0.0;
     std::uint64_t depth_max = 0;
-    QuantileSketch lat;
+    std::vector<double> lat;  ///< per-job latencies, arrival order
   };
   struct Window {
     std::int64_t index = 0;  ///< window_of() value
-    // server id -> cell; std::map keeps server iteration order sorted.
-    std::map<std::uint32_t, ServerCell> servers;
+    std::vector<ServerCell> cells;  ///< by server id (dense)
     Bytes cache_hit = 0;
     Bytes cache_miss = 0;
+
+    /// Empties the window for reuse as `i`, keeping its allocations.
+    void reset(std::int64_t i);
+    /// The cell of `server`, marked present (grows the array on first use).
+    ServerCell& cell(std::uint32_t server) {
+      if (server >= cells.size()) cells.resize(std::size_t{server} + 1);
+      cells[server].present = true;
+      return cells[server];
+    }
+    const ServerCell* find(std::uint32_t server) const {
+      return server < cells.size() && cells[server].present ? &cells[server]
+                                                            : nullptr;
+    }
   };
 
-  Window& window(std::int64_t index);
-  ServerCell& cell(std::int64_t index, std::uint32_t server);
+  /// Logical position `i` (0 = oldest retained window) in the ring.
+  Window& at(std::size_t i) { return ring_[slot(i)]; }
+  const Window& at(std::size_t i) const { return ring_[slot(i)]; }
+  std::size_t slot(std::size_t i) const {
+    const std::size_t k = head_ + i;  // both < ring_.size()
+    return k < ring_.size() ? k : k - ring_.size();
+  }
+  /// False for windows older than the retained range once any window was
+  /// dropped: their data is gone and must not resurrect them.
+  bool retained(std::int64_t index) const {
+    return dropped_ == 0 || ring_.size() == 0 || index >= at(0).index;
+  }
+  /// Logical slot of window `index`, or where it would be inserted.
+  std::size_t position(std::int64_t index) const;
+  /// The window `index`, created in order when missing; nullptr when the
+  /// ring is full and `index` would be older than every retained window.
+  Window* window(std::int64_t index);
   const Window* find_window(std::int64_t index) const;
 
   Seconds interval_ = 1.0;
   std::size_t capacity_ = 4096;
-  std::vector<Window> windows_;  ///< ascending by index; bounded ring
+  /// Retained windows, ascending by index from head_.  The ring only
+  /// grows (to capacity_), so its size is the retained window count.
+  std::vector<Window> ring_;
+  std::size_t head_ = 0;  ///< storage slot of the oldest window
   std::uint64_t dropped_ = 0;
 };
 

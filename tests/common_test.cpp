@@ -2,10 +2,14 @@
 // thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "src/common/config.hpp"
 #include "src/common/interval.hpp"
@@ -390,6 +394,143 @@ TEST(LogHistogram, ResetForgetsEverything) {
   EXPECT_EQ(h.min(), 0.0);
   EXPECT_EQ(h.max(), 0.0);
   EXPECT_EQ(h, LogHistogram{});
+}
+
+// Dyadic samples across ~20 octaves: every partial sum is exact, so
+// member-wise equality (which includes the sum) cannot depend on addition
+// order.
+std::vector<double> dyadic_samples(std::size_t n) {
+  std::vector<double> xs;
+  for (std::size_t i = 0; i < n; ++i) {
+    xs.push_back(std::ldexp(static_cast<double>(i % 97 + 1),
+                            static_cast<int>(i % 20) - 10));
+  }
+  return xs;
+}
+
+TEST(LogHistogram, BucketIndexMatchesTheFrexpGeometry) {
+  // The bucket of x is [2^(e-1) * (1 + c/32), ...) with x = m * 2^e,
+  // m in [0.5, 1) and c = floor((2m - 1) * 32): the sparse histogram's
+  // geometry, which dense storage must reproduce bit for bit.
+  Rng rng(42);
+  for (int i = 0; i < 20000; ++i) {
+    // Random exponent and fraction bits over the whole positive range,
+    // denormals included.
+    const std::uint64_t bits = rng.next() & 0x7FEFFFFFFFFFFFFFull;
+    double x = 0.0;
+    std::memcpy(&x, &bits, sizeof x);
+    if (!(x > 0.0)) continue;
+    int e = 0;
+    const double m = std::frexp(x, &e);
+    const int c = std::min(static_cast<int>((m * 2.0 - 1.0) * 32.0), 31);
+    LogHistogram h;
+    h.add(x);
+    const auto b = h.buckets();
+    ASSERT_EQ(b.size(), 1u);
+    ASSERT_EQ(b[0].lo, std::ldexp(1.0 + c / 32.0, e - 1)) << x;
+  }
+}
+
+TEST(LogHistogram, DenseRangeGrowsAtTheFrontExactly) {
+  // Descending samples grow the dense range at the front every time; the
+  // state must equal the ascending feed's member for member.
+  const std::vector<double> descending = {1024.0, 5.0, 0.25, 0x1p-14,
+                                          0x1p-30};
+  LogHistogram down, up;
+  for (double x : descending) down.add(x);
+  for (auto it = descending.rbegin(); it != descending.rend(); ++it) {
+    up.add(*it);
+  }
+  EXPECT_EQ(down, up);
+  const auto b = down.buckets();
+  ASSERT_EQ(b.size(), descending.size());
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    const double x = descending[descending.size() - 1 - i];
+    EXPECT_LE(b[i].lo, x);
+    EXPECT_LT(x, b[i].hi);
+    EXPECT_EQ(b[i].count, 1u);
+  }
+}
+
+TEST(LogHistogram, EmptyBucketsInsideTheRangeAreSkipped) {
+  LogHistogram h;
+  h.add(1.0);
+  h.add(1000.0);  // ~10 octaves of empty buckets lie between the two
+  const auto b = h.buckets();
+  ASSERT_EQ(b.size(), 2u);
+  EXPECT_EQ(b[0].lo, 1.0);
+  EXPECT_LE(b[1].lo, 1000.0);
+  EXPECT_LT(1000.0, b[1].hi);
+  // Rank 1 of 2 ends the first sample's bucket; any higher rank lands in
+  // the second sample's bucket, never in an empty one between them.
+  EXPECT_EQ(h.percentile(50.0), b[0].hi);
+  EXPECT_GE(h.percentile(50.1), b[1].lo);
+  EXPECT_LE(h.percentile(50.1), 1000.0);
+  EXPECT_EQ(h.percentile(100.0), 1000.0);
+}
+
+TEST(LogHistogram, ExtremeValuesKeepTheirBucketsAndEnvelope) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double big = std::numeric_limits<double>::max();
+  for (double x : {tiny, 3 * tiny, std::numeric_limits<double>::min() / 3,
+                   std::numeric_limits<double>::min(), 1e-300, 1e300, big}) {
+    LogHistogram h;
+    h.add(x);
+    const auto b = h.buckets();
+    ASSERT_EQ(b.size(), 1u);
+    EXPECT_LE(b[0].lo, x);
+    // Denormal cells are finer than the representable spacing, so their
+    // upper edge may round onto the sample itself.
+    EXPECT_LE(x, b[0].hi);
+  }
+  LogHistogram h;
+  h.add(tiny);
+  h.add(std::numeric_limits<double>::infinity());  // clamped to max()
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.non_positive(), 0u);
+  EXPECT_EQ(h.min(), tiny);
+  EXPECT_EQ(h.max(), big);
+  EXPECT_EQ(h.sum(), big);
+  EXPECT_EQ(h.buckets().size(), 2u);
+  EXPECT_EQ(h.percentile(0.0), tiny);
+  EXPECT_EQ(h.percentile(100.0), big);
+}
+
+TEST(LogHistogram, EqualityIgnoresInsertionOrder) {
+  std::vector<double> xs = dyadic_samples(500);
+  xs.push_back(0.0);
+  xs.push_back(-2.0);
+  LogHistogram forward;
+  for (double x : xs) forward.add(x);
+  Rng rng(7);
+  std::shuffle(xs.begin(), xs.end(), rng);
+  LogHistogram shuffled;
+  for (double x : xs) shuffled.add(x);
+  EXPECT_EQ(forward, shuffled);
+  shuffled.add(1.0);
+  EXPECT_NE(forward, shuffled);
+}
+
+TEST(LogHistogram, MergesDisjointRangesInEitherOrder) {
+  LogHistogram low, high, whole;
+  for (double x : {0.125, 0.25, 0.375}) {
+    low.add(x);
+    whole.add(x);
+  }
+  for (double x : {1024.0, 2048.0}) {
+    high.add(x);
+    whole.add(x);
+  }
+  LogHistogram back = low;  // grows at the back
+  back.merge(high);
+  LogHistogram front = high;  // grows at the front
+  front.merge(low);
+  EXPECT_EQ(back, whole);
+  EXPECT_EQ(front, whole);
+  EXPECT_EQ(front.buckets().size(), 5u);
+  LogHistogram empty;
+  empty.merge(low);
+  EXPECT_EQ(empty, low);
 }
 
 // ------------------------------------------------------- quantile sketch ----

@@ -5,15 +5,21 @@
 // tiered_cost_model on a deterministic single-request scenario.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <queue>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/common/rng.hpp"
 #include "src/common/units.hpp"
 #include "src/core/tiered_cost_model.hpp"
 #include "src/net/network.hpp"
 #include "src/obs/health.hpp"
+#include "src/obs/inflight.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/recorder.hpp"
 #include "src/obs/timeseries.hpp"
@@ -160,6 +166,70 @@ TEST(MetricsRegistry, SketchFamiliesObserveAndMergeLikeCounters) {
   EXPECT_NE(json.find("\"p999\""), std::string::npos);
 }
 
+TEST(MetricsRegistry, HandlePathWritesTheSameJsonAsTheKeyedPath) {
+  // The per-job hot paths hold Series handles; everything they record must
+  // serialize exactly as the keyed calls would.
+  auto families = [](obs::MetricsRegistry& reg) {
+    return std::array<obs::MetricsRegistry::FamilyId, 4>{
+        reg.family("bytes", obs::MetricsRegistry::Kind::kCounter),
+        reg.family("score", obs::MetricsRegistry::Kind::kGauge),
+        reg.family("lat", obs::MetricsRegistry::Kind::kHistogram),
+        reg.family("svc", obs::MetricsRegistry::Kind::kSketch)};
+  };
+  obs::MetricsRegistry keyed, handled;
+  const auto k = families(keyed);
+  const auto h = families(handled);
+  using Series = obs::MetricsRegistry::Series;
+  std::vector<Series> bytes, score, lat, svc;
+  for (std::uint32_t server = 0; server < 3; ++server) {
+    const obs::LabelSet l = obs::LabelSet{}.server(server).op(IoOp::kRead);
+    bytes.emplace_back(h[0], l);
+    score.emplace_back(h[1], l);
+    lat.emplace_back(h[2], l);
+    svc.emplace_back(h[3], l);
+  }
+  for (int i = 0; i < 60; ++i) {
+    // Servers are first touched in the order 2, 0, 1.
+    const std::uint32_t server = static_cast<std::uint32_t>((i + 2) % 3);
+    const obs::LabelSet l = obs::LabelSet{}.server(server).op(IoOp::kRead);
+    const double v = 1e-4 * (i + 1);
+    keyed.add(k[0], l, 4096.0);
+    keyed.set(k[1], l, v);
+    keyed.observe(k[2], l, v);
+    keyed.observe(k[3], l, 2.0 * v);
+    handled.add(bytes[server], 4096.0);
+    handled.set(score[server], v);
+    handled.observe(lat[server], v);
+    handled.observe(svc[server], 2.0 * v);
+  }
+  EXPECT_EQ(registry_json(handled), registry_json(keyed));
+  // A handle also finds a series the keyed path created first.
+  Series again(h[0], obs::LabelSet{}.server(1).op(IoOp::kRead));
+  handled.add(again, 1.0);
+  keyed.add(k[0], obs::LabelSet{}.server(1).op(IoOp::kRead), 1.0);
+  EXPECT_EQ(registry_json(handled), registry_json(keyed));
+}
+
+TEST(MetricsRegistry, HandleCreatesNoSeriesBeforeItsFirstObservation) {
+  obs::MetricsRegistry reg;
+  const auto c = reg.family("bytes", obs::MetricsRegistry::Kind::kCounter);
+  const auto q = reg.family("svc", obs::MetricsRegistry::Kind::kSketch);
+  const std::string empty = registry_json(reg);
+  const obs::LabelSet l = obs::LabelSet{}.server(4);
+  obs::MetricsRegistry::Series bytes(c, l);
+  obs::MetricsRegistry::Series svc(q, l);
+  EXPECT_EQ(registry_json(reg), empty);
+  EXPECT_EQ(reg.sketch("svc", l), nullptr);
+
+  reg.observe(svc, 0.5);
+  ASSERT_NE(reg.sketch("svc", l), nullptr);
+  EXPECT_EQ(reg.sketch("svc", l)->count(), 1u);
+  // The counter handle is still unused: its series is still absent.
+  EXPECT_EQ(registry_json(reg).find("\"bytes\""), std::string::npos);
+  reg.add(bytes, 3.0);
+  EXPECT_DOUBLE_EQ(reg.value("bytes", l), 3.0);
+}
+
 // ------------------------------------------------------------ time series ----
 
 TEST(TimeSeries, RollsUpWindowsAndClipsBusyAtBoundaries) {
@@ -200,6 +270,55 @@ TEST(TimeSeries, BoundedRingDropsOldestWindowsLoudly) {
   EXPECT_EQ(ts.window_jobs(0, 0), 0u);
   ts.record_span(0, 0.5, 0.6, 0.7);
   EXPECT_EQ(ts.window_jobs(0, 0), 0u);
+}
+
+TEST(TimeSeries, RingStaysOrderedAcrossGapsAndLateWindows) {
+  // Windows 0, 2, 4 (idle gaps), then a late job in window 3: the full ring
+  // drops window 0 and slots 3 in order.  A job for window 1, older than
+  // every retained window, is discarded.
+  obs::TimeSeries ts(obs::TimeSeries::Options{1.0, 3});
+  for (int w : {0, 2, 4}) ts.record_span(1, w + 0.1, w + 0.2, w + 0.4);
+  ts.record_span(1, 3.1, 3.2, 3.4);
+  ts.record_span(1, 1.1, 1.2, 1.4);
+  EXPECT_EQ(ts.window_count(), 3u);
+  EXPECT_EQ(ts.dropped_windows(), 1u);
+  for (int w : {2, 3, 4}) EXPECT_EQ(ts.window_jobs(w, 1), 1u) << w;
+  EXPECT_EQ(ts.window_jobs(1, 1), 0u);
+  std::ostringstream os;
+  ts.write_json(os, 0);
+  EXPECT_NE(os.str().find("\"window_index\": [2, 3, 4]"), std::string::npos)
+      << os.str();
+}
+
+TEST(TimeSeries, WindowOlderThanAFullRingIsDroppedNotMisfiled) {
+  // Before any drop, a window older than every retained one that arrives
+  // at capacity is itself the one dropped: its data must not land in the
+  // oldest retained window.
+  obs::TimeSeries ts(obs::TimeSeries::Options{1.0, 2});
+  ts.record_span(0, 5.1, 5.2, 5.3);
+  ts.record_span(0, 6.1, 6.2, 6.3);
+  ts.record_span(0, 1.1, 1.2, 1.3);
+  EXPECT_EQ(ts.window_count(), 2u);
+  EXPECT_EQ(ts.dropped_windows(), 1u);  // the late job's window
+  EXPECT_EQ(ts.window_jobs(5, 0), 1u);
+  EXPECT_EQ(ts.window_jobs(6, 0), 1u);
+  EXPECT_DOUBLE_EQ(ts.window_latency_mean(5, 0), 5.3 - 5.1);
+}
+
+TEST(InflightJobs, MatchesAMinHeapForAnyFinishOrder) {
+  // FIFO resources append in finish order; any other order must still give
+  // the exact in-flight count a min-heap of finish times gives.
+  obs::InflightJobs jobs;
+  std::priority_queue<double, std::vector<double>, std::greater<>> heap;
+  Rng rng(11);
+  double arrival = 0.0;
+  for (int i = 0; i < 2000; ++i) {
+    arrival += rng.uniform(0.0, 1.0);
+    const double finish = arrival + rng.uniform(0.0, i % 3 == 0 ? 8.0 : 2.0);
+    while (!heap.empty() && heap.top() <= arrival) heap.pop();
+    heap.push(finish);
+    ASSERT_EQ(jobs.admit(arrival, finish), heap.size()) << i;
+  }
 }
 
 // ---------------------------------------------------------- health monitor ----
@@ -451,6 +570,26 @@ TEST(Recorder, TraceJsonHasChromeTraceShape) {
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);  // service span
   EXPECT_NE(json.find("\"ph\": \"b\""), std::string::npos);  // queue wait
   EXPECT_NE(json.find("\"ph\": \"e\""), std::string::npos);
+}
+
+TEST(Recorder, HealthScoreSaturatesInsteadOfOverflowing) {
+  // A score is a ratio of window means; a denormal fleet median makes it
+  // inf.  Its micro-unit trace slot must saturate (and NaN must map to 0),
+  // not hit the undefined out-of-range float -> integer conversion.
+  obs::Recorder rec;
+  rec.health_event(obs::Sink::HealthEvent::kStragglerFlagged, 3,
+                   std::numeric_limits<double>::infinity(), 1.0);
+  rec.health_event(obs::Sink::HealthEvent::kStragglerRecovered, 3,
+                   std::numeric_limits<double>::quiet_NaN(), 2.0);
+  rec.health_event(obs::Sink::HealthEvent::kStragglerFlagged, 4, 2.5, 3.0);
+  std::ostringstream out;
+  rec.write_trace_json(out);
+  const std::string json = out.str();
+  // 2^64 - 1 micro-units, printed at 17 significant digits.
+  EXPECT_NE(json.find("\"score\": 18446744073709.551}"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"score\": 0}"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"score\": 2.5}"), std::string::npos) << json;
 }
 
 // ------------------------------------------- recorder: request attribution ----

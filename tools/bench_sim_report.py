@@ -17,11 +17,15 @@ detached vs attached.
 When a baseline file (bench/bench_sim_baseline.json) is given, the script
 exits non-zero if the dispatch rate fell more than `max_rate_regression`
 below the recorded baseline, if allocations per event exceeded the
-recorded ceiling, or if the obs-disabled dispatch rate fell more than
+recorded ceiling, if the obs-disabled dispatch rate fell more than
 `max_obs_disabled_regression` (5%) below the recorded
-`obs_disabled_dispatch_rate_per_s` reference — the CI smoke check for the
-allocation-free simulator core and for "observability compiled in but
-disabled costs (almost) nothing".
+`obs_disabled_dispatch_rate_per_s` reference, or if the obs-enabled overhead
+(1 - BM_FifoResourceChainObs / BM_FifoResourceChain) exceeds
+`max_obs_enabled_overhead` — the CI smoke check for the allocation-free
+simulator core, for "observability compiled in but disabled costs (almost)
+nothing", and for "enabled observability stays cheap enough to leave on".
+The enabled-overhead ratio is paired within one binary run, so it carries
+across machines.
 
 With --hetero, additionally reads a bench_ablation_hetero JSON and gates
 the aged-fleet sweep: device-aware HARL vs tier-blind HARL at each aged-SSD
@@ -186,6 +190,23 @@ def main():
                     f"{summary['dispatch_rate_per_s']:.0f}/s is more than "
                     f"{max_obs_regression:.0%} below the recorded reference "
                     f"{obs_ref:.0f}/s")
+
+        # Enabled-overhead ceiling: the same FIFO job chain with the flight
+        # recorder attached may cost at most this fraction of the plain
+        # chain's rate.  A ceiling without the benchmark pair is a failure,
+        # not a skip.
+        obs_ceiling = baseline.get("max_obs_enabled_overhead")
+        if obs_ceiling is not None:
+            summary["max_obs_enabled_overhead"] = obs_ceiling
+            overhead = summary.get("obs_enabled_overhead")
+            if overhead is None:
+                failures.append(
+                    "max_obs_enabled_overhead is set but the results lack "
+                    "BM_FifoResourceChain/BM_FifoResourceChainObs")
+            elif overhead > obs_ceiling:
+                failures.append(
+                    f"obs-enabled overhead {overhead:.3f} exceeds the "
+                    f"recorded ceiling {obs_ceiling}")
 
     if args.hetero:
         with open(args.hetero, encoding="utf-8") as f:
