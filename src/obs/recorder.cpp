@@ -158,11 +158,6 @@ Recorder::ServerMeta Recorder::make_server_meta(std::uint32_t server,
     m.bytes[o] = Series{m_bytes_, sto};
     m.pieces[o] = Series{m_pieces_, sto};
     m.server_time[o] = Series{m_server_time_, sto};
-    const LabelSet to = LabelSet{}.tier(tier).op(op);
-    m.wait[o] = Series{m_wait_, to};
-    m.t_s[o] = Series{m_ts_, to};
-    m.t_t[o] = Series{m_tt_, to};
-    m.t_x[o] = Series{m_tx_, to};
   }
   return m;
 }
@@ -173,6 +168,26 @@ Recorder::ServerMeta& Recorder::server_meta(std::uint32_t server) {
         static_cast<std::uint32_t>(servers_.size()), kNoId, kNoId, false));
   }
   return servers_[server];
+}
+
+Recorder::TierSeries& Recorder::tier_series(std::uint32_t tier) {
+  const std::size_t slot = tier == kNoId ? 0 : std::size_t{tier} + 1;
+  while (tier_series_.size() <= slot) {
+    const std::size_t k = tier_series_.size();
+    const std::uint32_t t =
+        k == 0 ? kNoId : static_cast<std::uint32_t>(k - 1);
+    TierSeries ts;
+    for (const IoOp op : {IoOp::kRead, IoOp::kWrite}) {
+      const std::size_t o = op_index(op);
+      const LabelSet to = LabelSet{}.tier(t).op(op);
+      ts.wait[o] = Series{m_wait_, to};
+      ts.t_s[o] = Series{m_ts_, to};
+      ts.t_t[o] = Series{m_tt_, to};
+      ts.t_x[o] = Series{m_tx_, to};
+    }
+    tier_series_.push_back(ts);
+  }
+  return tier_series_[slot];
 }
 
 Recorder::FileSeries& Recorder::file_series(std::uint32_t file) {
@@ -377,10 +392,11 @@ void Recorder::finalize_sub(std::uint32_t sub, Seconds t_x, Seconds done) {
     ActiveRequest& r = req_slots_[s.request];
     r.subs.push_back(sample);
     const std::size_t o = op_index(r.op);
-    metrics_.observe(meta.wait[o], sample.wait);
-    metrics_.observe(meta.t_s[o], sample.t_s);
-    metrics_.observe(meta.t_t[o], sample.t_t);
-    metrics_.observe(meta.t_x[o], sample.t_x);
+    TierSeries& ts = tier_series(meta.tier);
+    metrics_.observe(ts.wait[o], sample.wait);
+    metrics_.observe(ts.t_s[o], sample.t_s);
+    metrics_.observe(ts.t_t[o], sample.t_t);
+    metrics_.observe(ts.t_x[o], sample.t_x);
     // Server-resident time per {server,tier,op}: the straggler scheduler's
     // per-server tail input (p50/p95/p99/p999 via the sketch family).
     metrics_.observe(meta.server_time[o],

@@ -275,7 +275,8 @@ class Recorder final : public Sink {
     // {server, tier, op}
     Series accesses[2], bytes[2], pieces[2], server_time[2];
     Series region_switches;  // {server, tier}
-    // {tier, op}: shared by every server of the tier (same series).
+  };
+  struct TierSeries {  // {tier, op}: shared by every server of the tier
     Series wait[2], t_s[2], t_t[2], t_x[2];
   };
   struct FileSeries {  // {file, tenant, op}
@@ -289,6 +290,7 @@ class Recorder final : public Sink {
                               std::uint32_t tier, bool is_ssd) const;
   /// Metadata of `server`, created unregistered (tier kNoId) on first use.
   ServerMeta& server_meta(std::uint32_t server);
+  TierSeries& tier_series(std::uint32_t tier);
   FileSeries& file_series(std::uint32_t file);
   Series& rel_error_series(std::uint32_t region, IoOp op);
 
@@ -337,6 +339,7 @@ class Recorder final : public Sink {
 
   Series latency_[2];                          // {op}
   Series mds_time_;                            // {}
+  std::vector<TierSeries> tier_series_;        // by tier + 1 (0: none)
   std::vector<FileSeries> file_series_;        // by FileId
   std::vector<std::array<Series, 2>> rel_error_;  // by region + 1 (0: none)
 

@@ -75,7 +75,8 @@ void TimeSeries::Window::reset(std::int64_t i) {
     c.lat_sum = 0.0;
     c.busy = 0.0;
     c.depth_max = 0;
-    c.lat.clear();
+    c.lat_raw.clear();
+    c.lat.reset();
   }
   cache_hit = 0;
   cache_miss = 0;
@@ -95,7 +96,7 @@ void TimeSeries::record_span(std::uint32_t server, Seconds arrival,
       const double lat = finish - arrival;
       ++c.jobs;
       c.lat_sum += lat;
-      c.lat.push_back(lat);
+      c.add_latency(lat);
     }
   }
   // Busy time is clipped per overlapped window so utilization is exact even
@@ -209,9 +210,11 @@ void TimeSeries::write_json(std::ostream& os, int indent) const {
     if (!seen[id]) continue;
     for (std::size_t i = 0; i < ring_.size(); ++i) {
       cells[i] = at(i).find(id);
-      sketch.reset();
       if (cells[i] != nullptr) {
-        for (double x : cells[i]->lat) sketch.add(x);
+        sketch = cells[i]->lat;
+        for (double x : cells[i]->lat_raw) sketch.add(x);
+      } else {
+        sketch.reset();
       }
       sketch.quantiles_at(kQs, lat[i]);
     }

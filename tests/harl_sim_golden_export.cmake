@@ -44,7 +44,14 @@ foreach(kind metrics timeseries)
   endif()
 endforeach()
 if(mismatch)
-  message(FATAL_ERROR "telemetry export bytes changed:${mismatch}")
+  message(FATAL_ERROR "telemetry export bytes changed:${mismatch}\n"
+          "The digests were recorded with gcc 12.2 on x86-64 (Debian 12, "
+          "glibc 2.36) in Release, Debug (-O0) and ASan/UBSan "
+          "RelWithDebInfo builds.  The exports hold simulated times and "
+          "std::pow tenant weights, so another compiler or libm may round "
+          "a double differently: run the commit that recorded the digests "
+          "on this toolchain before treating a mismatch as an export "
+          "change.")
 endif()
 
 message(STATUS "golden export ok: metrics ${expected_metrics}, "

@@ -22,6 +22,7 @@
 #include "src/obs/inflight.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/recorder.hpp"
+#include "src/obs/sketch.hpp"
 #include "src/obs/timeseries.hpp"
 #include "src/pfs/cluster.hpp"
 #include "src/pfs/layout.hpp"
@@ -303,6 +304,47 @@ TEST(TimeSeries, WindowOlderThanAFullRingIsDroppedNotMisfiled) {
   EXPECT_EQ(ts.window_jobs(5, 0), 1u);
   EXPECT_EQ(ts.window_jobs(6, 0), 1u);
   EXPECT_DOUBLE_EQ(ts.window_latency_mean(5, 0), 5.3 - 5.1);
+}
+
+TEST(TimeSeries, BusyCellQuantilesMatchASketchFedEveryJob) {
+  // 200 jobs in one cell cross several raw-buffer folds and leave a partial
+  // buffer; the exported percentiles must be those of a sketch fed every
+  // latency directly.  A ring slot recycled for a later window starts empty.
+  obs::TimeSeries ts(obs::TimeSeries::Options{1.0, 1});
+  obs::QuantileSketch direct;
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    const double arrival = rng.uniform(0.0, 0.5);
+    const double lat = rng.uniform(1e-4, 0.3);
+    ts.record_span(2, arrival, arrival, arrival + lat);
+    direct.add(lat);
+  }
+  auto column = [](const obs::TimeSeries& t, const char* name) {
+    std::ostringstream os;
+    t.write_json(os, 0);
+    const std::string json = os.str();
+    const std::string key = std::string("\"") + name + "\": [";
+    const std::size_t at = json.find(key);
+    if (at == std::string::npos) return std::string("missing");
+    const std::size_t from = at + key.size();
+    return json.substr(from, json.find(']', from) - from);
+  };
+  auto text = [](double x) {
+    std::ostringstream os;
+    os.precision(17);
+    os << x;
+    return os.str();
+  };
+  EXPECT_EQ(column(ts, "jobs"), "200");
+  EXPECT_EQ(column(ts, "lat_p50_s"), text(direct.percentile(50.0)));
+  EXPECT_EQ(column(ts, "lat_p95_s"), text(direct.percentile(95.0)));
+  EXPECT_EQ(column(ts, "lat_p99_s"), text(direct.percentile(99.0)));
+
+  ts.record_span(2, 3.0, 3.0, 3.5);  // recycles the only slot
+  EXPECT_EQ(ts.dropped_windows(), 1u);
+  EXPECT_EQ(column(ts, "jobs"), "1");
+  EXPECT_EQ(column(ts, "lat_p50_s"), "0.5");
+  EXPECT_EQ(column(ts, "lat_p99_s"), "0.5");
 }
 
 TEST(InflightJobs, MatchesAMinHeapForAnyFinishOrder) {
