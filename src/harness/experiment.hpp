@@ -85,9 +85,9 @@ struct SchemeResult {
   /// metrics registry, trace events, per-request T_X/T_S/T_T attribution.
   std::shared_ptr<obs::Recorder> obs;
   /// Telemetry plane of the measured run (ExperimentOptions::telemetry
-  /// enabled + observe): windowed per-server time series and the
-  /// straggler/SLO health monitor, already finalized; its health.* metrics
-  /// are merged into `obs`'s registry.
+  /// enabled): windowed per-server time series and the straggler/SLO health
+  /// monitor that `obs` drove, already finalized; its health.* metrics are
+  /// merged into `obs`'s registry.
   std::shared_ptr<obs::HealthMonitor> health;
 };
 
@@ -134,23 +134,28 @@ struct ExperimentOptions {
   };
   CacheOptions cache;
   /// Telemetry plane (DESIGN.md §15): interval > 0 arms an
-  /// obs::HealthMonitor (which owns the run's TimeSeries) in front of the
-  /// recorder of every measured run.  Requires `observe`; the runner
+  /// obs::HealthMonitor (which owns the run's TimeSeries) that the recorder
+  /// of every measured run drives.  Requires `observe`; the Experiment
   /// forces it on when telemetry is enabled.
-  struct TelemetryOptions {
-    Seconds interval = 0.0;            ///< window width; 0 = disabled
-    std::size_t window_capacity = 4096;
-    Seconds slo = 0.0;                 ///< request deadline; 0 = no SLO
-    double flag_threshold = 2.0;
-    double recover_threshold = 1.25;
-    std::size_t flag_windows = 2;
-    std::size_t recover_windows = 2;
-    std::uint64_t min_window_jobs = 1;
-
-    bool enabled() const { return interval > 0.0; }
-  };
+  using TelemetryOptions = obs::HealthMonitor::Options;
   TelemetryOptions telemetry;
 };
+
+/// A measured run's observation: the flight recorder (options.observe) with
+/// the health monitor attached (options.telemetry enabled).
+struct Observation {
+  std::shared_ptr<obs::Recorder> recorder;
+  std::shared_ptr<obs::HealthMonitor> health;
+};
+
+/// Builds a measured run's observation and installs its recorder as `sim`'s
+/// observer; installs nothing when options.observe is off.  Call before the
+/// Cluster is built, so every component registers with the recorder and
+/// idle servers still report health.  `tenant_of` is the namespace's
+/// FileId -> tenant map (Recorder::set_tenant_of); empty for one file.
+Observation observe_measured_run(const ExperimentOptions& options,
+                                 sim::Simulator& sim,
+                                 std::vector<std::uint32_t> tenant_of = {});
 
 class Experiment {
  public:

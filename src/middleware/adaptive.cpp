@@ -157,11 +157,9 @@ void MigrationEngine::next_chunk() {
 
 AdaptiveLayoutManager::AdaptiveLayoutManager(core::CostParams params,
                                              core::RegionStripeTable epoch0,
-                                             AdaptiveOptions options,
-                                             obs::Sink* downstream)
+                                             AdaptiveOptions options)
     : params_(std::move(params)),
       options_(std::move(options)),
-      downstream_(downstream),
       advisor_(advisor_params(params_, options_.reserved), std::move(epoch0),
                options_.advisor) {
   if (options_.max_epochs == 0) {
@@ -211,134 +209,10 @@ std::shared_ptr<const pfs::Layout> AdaptiveLayoutManager::install(
   return epoched_;
 }
 
-// --- Sink forwarding ---------------------------------------------------------
-
-std::uint32_t AdaptiveLayoutManager::track(std::string_view name,
-                                           obs::TrackKind kind,
-                                           std::uint32_t entity) {
-  return downstream_ != nullptr ? downstream_->track(name, kind, entity)
-                                : obs::kNoId;
-}
-
-std::uint32_t AdaptiveLayoutManager::register_server(std::uint32_t server,
-                                                     std::uint32_t tier,
-                                                     std::string_view name,
-                                                     bool is_ssd) {
-  return downstream_ != nullptr
-             ? downstream_->register_server(server, tier, name, is_ssd)
-             : obs::kNoId;
-}
-
-std::uint32_t AdaptiveLayoutManager::register_client(std::uint32_t client) {
-  return downstream_ != nullptr ? downstream_->register_client(client)
-                                : obs::kNoId;
-}
-
-void AdaptiveLayoutManager::resource_event(std::uint32_t track, Seconds arrival,
-                                           Seconds start, Seconds finish) {
-  if (downstream_ != nullptr) {
-    downstream_->resource_event(track, arrival, start, finish);
-  }
-}
-
-void AdaptiveLayoutManager::server_access(std::uint32_t server, IoOp op,
-                                          std::uint32_t region, Bytes bytes,
-                                          Bytes pieces, Seconds now) {
-  if (downstream_ != nullptr) {
-    downstream_->server_access(server, op, region, bytes, pieces, now);
-  }
-}
-
-std::uint32_t AdaptiveLayoutManager::begin_request(std::uint32_t client,
-                                                   IoOp op, Bytes offset,
-                                                   Bytes size, Seconds now,
-                                                   std::uint32_t file) {
-  std::uint32_t id;
-  if (!req_free_.empty()) {
-    id = req_free_.back();
-    req_free_.pop_back();
-  } else {
-    id = static_cast<std::uint32_t>(reqs_.size());
-    reqs_.emplace_back();
-  }
-  PendingReq& r = reqs_[id];
-  r.down = downstream_ != nullptr
-               ? downstream_->begin_request(client, op, offset, size, now, file)
-               : obs::kNoId;
-  r.op = op;
-  r.offset = offset;
-  r.size = size;
-  r.issue = now;
-  r.client = client;
-  r.file = file;
-  return id;
-}
-
-std::uint32_t AdaptiveLayoutManager::begin_sub(std::uint32_t request,
-                                               std::uint32_t server,
-                                               std::uint32_t region,
-                                               Bytes bytes, Seconds now) {
-  if (downstream_ == nullptr || request >= reqs_.size()) return obs::kNoId;
-  const std::uint32_t down = reqs_[request].down;
-  if (down == obs::kNoId) return obs::kNoId;
-  return downstream_->begin_sub(down, server, region, bytes, now);
-}
-
-void AdaptiveLayoutManager::sub_storage(std::uint32_t sub, Seconds arrival,
-                                        Seconds start, Seconds startup,
-                                        Seconds service) {
-  if (downstream_ != nullptr && sub != obs::kNoId) {
-    downstream_->sub_storage(sub, arrival, start, startup, service);
-  }
-}
-
-void AdaptiveLayoutManager::sub_net_done(std::uint32_t sub, Seconds now) {
-  if (downstream_ != nullptr && sub != obs::kNoId) {
-    downstream_->sub_net_done(sub, now);
-  }
-}
-
-void AdaptiveLayoutManager::end_request(std::uint32_t request, Seconds now) {
-  if (request >= reqs_.size()) return;
-  const PendingReq r = reqs_[request];
-  req_free_.push_back(request);
-  if (downstream_ != nullptr && r.down != obs::kNoId) {
-    downstream_->end_request(r.down, now);
-  }
-  if (file_filter_ == obs::kNoId || r.file == file_filter_) {
-    feed(r.client, r.op, r.offset, r.size, r.issue, now);
-  }
-}
-
-void AdaptiveLayoutManager::adaptive_event(AdaptiveEvent event,
-                                           std::uint32_t epoch, Bytes bytes,
-                                           Seconds now) {
-  if (downstream_ != nullptr) {
-    downstream_->adaptive_event(event, epoch, bytes, now);
-  }
-}
-
-void AdaptiveLayoutManager::cache_event(Bytes hit_bytes, Bytes miss_bytes,
-                                        Seconds now) {
-  // Must forward explicitly: the inherited no-op would swallow the event
-  // before it reaches the health monitor downstream.
-  if (downstream_ != nullptr) {
-    downstream_->cache_event(hit_bytes, miss_bytes, now);
-  }
-}
-
-void AdaptiveLayoutManager::health_event(HealthEvent event,
-                                         std::uint32_t server, double score,
-                                         Seconds now) {
-  if (downstream_ != nullptr) {
-    downstream_->health_event(event, server, score, now);
-  }
-}
-
 // --- the adaptation loop -----------------------------------------------------
 
-void AdaptiveLayoutManager::feed(std::uint32_t client, IoOp op, Bytes offset,
-                                 Bytes size, Seconds issue, Seconds now) {
+void AdaptiveLayoutManager::feed(const trace::TraceRecord& record) {
+  const Seconds now = record.t_end;
   if (options_.fail && !degraded_applied_ && now >= options_.fail->at) {
     // The failure instant passed: rebuild the advisor against the degraded
     // fleet (current RST carried over), so every subsequent window's
@@ -355,15 +229,6 @@ void AdaptiveLayoutManager::feed(std::uint32_t client, IoOp op, Bytes offset,
         advisor_.current(), options_.advisor);
     metrics_.add(m_degraded_, obs::LabelSet{}, 1.0);
   }
-  trace::TraceRecord record;
-  record.pid = client;
-  record.rank = client;
-  record.fd = 0;
-  record.op = op;
-  record.offset = offset;
-  record.size = size;
-  record.t_start = issue;
-  record.t_end = now;
   const std::size_t windows_before = advisor_.windows_analyzed();
   auto rec = advisor_.observe(record);
   if (advisor_.windows_analyzed() != windows_before) {
@@ -405,17 +270,25 @@ void AdaptiveLayoutManager::handle(
   }
   ++epochs_installed_;
   metrics_.add(m_epochs_, obs::LabelSet{}.region(epoch), 1.0);
-  adaptive_event(AdaptiveEvent::kEpochInstalled, epoch, rec.affected_extent,
-                 now);
+  using Event = obs::Sink::AdaptiveEvent;
+  emit(Event::kEpochInstalled, epoch, rec.affected_extent, now);
   Bytes scheduled = 0;
   for (const auto& [b, e] : rec.changed_ranges) scheduled += e - b;
-  adaptive_event(AdaptiveEvent::kMigrationStarted, epoch, scheduled, now);
+  emit(Event::kMigrationStarted, epoch, scheduled, now);
   migration_->start(rec.changed_ranges, epoch, options_.migrate_bandwidth,
                     options_.migrate_chunk, [this, epoch](Bytes moved) {
-                      adaptive_event(AdaptiveEvent::kMigrationFinished, epoch,
-                                     moved, cluster_->simulator().now());
+                      emit(Event::kMigrationFinished, epoch, moved,
+                           cluster_->simulator().now());
                     });
   if (epoch_hook_) epoch_hook_(epoch);
+}
+
+void AdaptiveLayoutManager::emit(obs::Sink::AdaptiveEvent event,
+                                 std::uint32_t epoch, Bytes bytes,
+                                 Seconds now) {
+  if (obs::Sink* obs = cluster_->simulator().observer(); obs != nullptr) {
+    obs->adaptive_event(event, epoch, bytes, now);
+  }
 }
 
 // --- results -----------------------------------------------------------------

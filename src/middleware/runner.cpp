@@ -8,6 +8,7 @@
 
 #include "src/common/interval.hpp"
 #include "src/pfs/replication.hpp"
+#include "src/sim/inline_task.hpp"
 #include "src/sim/resource.hpp"
 
 namespace harl::mw {
@@ -29,6 +30,7 @@ struct RunState {
   double sieve_min_density;
   std::uint32_t file;
   const pfs::ReplicaMap* replicas;
+  std::function<void(const trace::TraceRecord&)> on_request;
   std::string file_name;
 
   std::vector<std::size_t> pc;        // per-rank program counter
@@ -60,6 +62,7 @@ struct RunState {
         sieve_min_density(opts.sieve_min_density),
         file(opts.file),
         replicas(opts.replicas),
+        on_request(opts.on_request),
         file_name(std::move(name)),
         pc(programs.size(), 0),
         sync_seq(programs.size(), 0),
@@ -71,13 +74,29 @@ struct RunState {
     (op == IoOp::kRead ? bytes_read : bytes_written) += size;
   }
 
+  /// One completed PFS-level request of `rank`: `t_start` is its traced
+  /// issue time, `t_io` the instant Client::io was called (later than
+  /// t_start only after a per-request MDS lookup).
   void trace_request(std::uint32_t rank, IoOp op, Bytes offset, Bytes size,
-                     Seconds t_start) {
+                     Seconds t_start, Seconds t_io) {
     if (collector != nullptr) {
       // The FileId doubles as the trace fd, so multi-file traces keep their
       // per-file request streams separable (fd 0 = legacy single file).
       const std::uint32_t fd = file == obs::kNoId ? 0 : file;
       collector->record(rank, fd, op, offset, size, t_start, sim().now());
+    }
+    // Client::io opens no request for zero bytes, so neither does the feed.
+    if (on_request && size > 0) {
+      const auto client = static_cast<std::uint32_t>(world.node_of(rank));
+      trace::TraceRecord record;
+      record.pid = client;
+      record.rank = client;
+      record.op = op;
+      record.offset = offset;
+      record.size = size;
+      record.t_start = t_io;
+      record.t_end = sim().now();
+      on_request(record);
     }
   }
 };
@@ -110,7 +129,7 @@ void issue_list_naive(const std::shared_ptr<RunState>& st, std::size_t rank,
       st->layout, op, e.offset, e.size,
       [st, rank, op, e, t0, extents, index] {
         st->trace_request(static_cast<std::uint32_t>(rank), op, e.offset,
-                          e.size, t0);
+                          e.size, t0, t0);
         issue_list_naive(st, rank, op, extents, index + 1);
       },
       st->file, st->replicas);
@@ -128,7 +147,7 @@ void issue_list_io(const std::shared_ptr<RunState>& st, std::size_t rank,
         st->layout, op, e.offset, e.size,
         [st, rank, op, e, t0, join] {
           st->trace_request(static_cast<std::uint32_t>(rank), op, e.offset,
-                            e.size, t0);
+                            e.size, t0, t0);
           join->done();
         },
         st->file, st->replicas);
@@ -168,7 +187,7 @@ void issue_noncontig(const std::shared_ptr<RunState>& st, std::size_t rank,
           st->layout, IoOp::kRead, lo, cover,
           [st, rank, lo, cover, t0] {
             st->trace_request(static_cast<std::uint32_t>(rank), IoOp::kRead,
-                              lo, cover, t0);
+                              lo, cover, t0, t0);
             advance(st, rank);
           },
           st->file, st->replicas);
@@ -178,13 +197,13 @@ void issue_noncontig(const std::shared_ptr<RunState>& st, std::size_t rank,
           st->layout, IoOp::kRead, lo, cover,
           [st, rank, lo, cover, t0] {
             st->trace_request(static_cast<std::uint32_t>(rank), IoOp::kRead,
-                              lo, cover, t0);
+                              lo, cover, t0, t0);
             const Seconds t1 = st->sim().now();
             st->world.client_of(rank).io(
                 st->layout, IoOp::kWrite, lo, cover,
                 [st, rank, lo, cover, t1] {
                   st->trace_request(static_cast<std::uint32_t>(rank),
-                                    IoOp::kWrite, lo, cover, t1);
+                                    IoOp::kWrite, lo, cover, t1, t1);
                   advance(st, rank);
                 },
                 st->file, st->replicas);
@@ -216,7 +235,7 @@ void issue_aggregator_rounds(const std::shared_ptr<RunState>& st,
       .io(st->layout, op, offset, take,
           [st, agg_rank, op, offset, take, remaining, join, t0] {
             st->trace_request(static_cast<std::uint32_t>(agg_rank), op, offset,
-                              take, t0);
+                              take, t0, t0);
             if (remaining > take) {
               issue_aggregator_rounds(st, agg_rank, op, offset + take,
                                       remaining - take, join);
@@ -395,14 +414,17 @@ void step(const std::shared_ptr<RunState>& st, std::size_t rank) {
       st->account(op, e.size);
       const Seconds t0 = st->sim().now();
       auto issue = [st, rank, op, e, t0] {
-        st->world.client_of(rank).io(
-            st->layout, op, e.offset, e.size,
-            [st, rank, op, e, t0] {
-              st->trace_request(static_cast<std::uint32_t>(rank), op, e.offset,
-                                e.size, t0);
-              advance(st, rank);
-            },
-            st->file, st->replicas);
+        const Seconds t_io = st->sim().now();
+        auto done = [st, r = static_cast<std::uint32_t>(rank), op, t0, t_io,
+                     e] {
+          st->trace_request(r, op, e.offset, e.size, t0, t_io);
+          advance(st, std::size_t{r});
+        };
+        // A zero-size request schedules this continuation as an event: it
+        // must stay in InlineTask's in-place buffer.
+        static_assert(sizeof(done) <= sim::InlineTask::kCapacity);
+        st->world.client_of(rank).io(st->layout, op, e.offset, e.size,
+                                     std::move(done), st->file, st->replicas);
       };
       if (st->per_request_metadata) {
         // Placement resolution: the MDS consults the RST for this request.

@@ -5,9 +5,12 @@
 // client, implements two-phase collective I/O (shuffle between compute
 // nodes, then aggregated contiguous accesses by one aggregator per node),
 // and optionally records every PFS-level request into a TraceCollector —
-// exactly where the paper's IOSIG instrumentation sits.
+// exactly where the paper's IOSIG instrumentation sits.  The same completion
+// point feeds an optional per-request callback (the adaptive layout
+// manager's input).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,6 +73,11 @@ struct RunnerOptions {
   /// runner).  When set, writes also land on each sub-request's replica and
   /// reads fail over to it once the primary's server has failed.
   const pfs::ReplicaMap* replicas = nullptr;
+  /// Completion feed: one record per nonempty PFS-level request this runner
+  /// completes, as a client-side observer sees it — pid = rank = the issuing
+  /// client (compute node), fd = 0, t_start = the instant Client::io was
+  /// called (after any per-request MDS lookup), t_end = completion.
+  std::function<void(const trace::TraceRecord&)> on_request = nullptr;
 };
 
 struct RunResult {

@@ -5,12 +5,12 @@
 #include <string>
 
 #include "src/obs/json_text.hpp"
+#include "src/obs/recorder.hpp"
 
 namespace harl::obs {
 
-HealthMonitor::HealthMonitor(Options options, Sink* downstream)
+HealthMonitor::HealthMonitor(Options options)
     : options_(options),
-      downstream_(downstream),
       ts_(TimeSeries::Options{options.interval, options.window_capacity}),
       m_windows_scored_(
           metrics_.family("health.windows_scored",
@@ -58,218 +58,53 @@ HealthMonitor::ServerState& HealthMonitor::server_state(std::uint32_t server) {
   return st;
 }
 
-// --- registration (own track ids so server attribution survives a null
-// downstream) ----------------------------------------------------------------
+// --- feed (from the attached recorder's hooks) ------------------------------
 
-std::uint32_t HealthMonitor::track(std::string_view name, TrackKind kind,
-                                   std::uint32_t entity) {
-  Track t;
-  t.down = downstream_ != nullptr ? downstream_->track(name, kind, entity)
-                                  : kNoId;
-  tracks_.push_back(t);
-  return static_cast<std::uint32_t>(tracks_.size() - 1);
+void HealthMonitor::add_server(std::uint32_t server) { server_state(server); }
+
+void HealthMonitor::server_job(std::uint32_t server, Seconds arrival,
+                               Seconds start, Seconds finish,
+                               std::uint64_t depth) {
+  ts_.record_depth(server, arrival, depth);
+  ts_.record_span(server, arrival, start, finish);
 }
 
-std::uint32_t HealthMonitor::register_server(std::uint32_t server,
-                                             std::uint32_t tier,
-                                             std::string_view name,
-                                             bool is_ssd) {
-  Track t;
-  t.down = downstream_ != nullptr
-               ? downstream_->register_server(server, tier, name, is_ssd)
-               : kNoId;
-  t.server = server;
-  t.is_server_disk = true;
-  tracks_.push_back(t);
-  server_state(server);  // an idle server still reports
-  return static_cast<std::uint32_t>(tracks_.size() - 1);
-}
-
-std::uint32_t HealthMonitor::register_client(std::uint32_t client) {
-  Track t;
-  t.down = downstream_ != nullptr ? downstream_->register_client(client)
-                                  : kNoId;
-  tracks_.push_back(t);
-  return static_cast<std::uint32_t>(tracks_.size() - 1);
-}
-
-// --- hot path ----------------------------------------------------------------
-
-void HealthMonitor::resource_event(std::uint32_t track, Seconds arrival,
-                                   Seconds start, Seconds finish) {
-  advance(arrival);
-  if (track < tracks_.size() && tracks_[track].is_server_disk) {
-    const std::uint32_t server = tracks_[track].server;
-    ServerState& s = server_state(server);
-    ts_.record_depth(server, arrival, s.inflight.admit(arrival, finish));
-    ts_.record_span(server, arrival, start, finish);
-  }
-  if (downstream_ != nullptr && track < tracks_.size() &&
-      tracks_[track].down != kNoId) {
-    downstream_->resource_event(tracks_[track].down, arrival, start, finish);
+void HealthMonitor::sub_resident(std::uint32_t server, Seconds resident) {
+  if (options_.slo <= 0.0 || server == kNoId) return;
+  ServerState& st = server_state(server);
+  ++st.slo_total;
+  metrics_.add(st.slo_total_series, 1.0);
+  if (resident <= options_.slo) {
+    ++st.slo_met;
+    metrics_.add(st.slo_met_series, 1.0);
   }
 }
 
-void HealthMonitor::server_access(std::uint32_t server, IoOp op,
-                                  std::uint32_t region, Bytes bytes,
-                                  Bytes pieces, Seconds now) {
-  advance(now);
-  if (downstream_ != nullptr) {
-    downstream_->server_access(server, op, region, bytes, pieces, now);
+void HealthMonitor::request_done(IoOp op, std::uint32_t tenant,
+                                 Seconds latency) {
+  if (options_.slo <= 0.0) return;
+  const std::size_t o = op == IoOp::kRead ? 0 : 1;
+  ++req_total_[o];
+  metrics_.add(slo_req_total_[o], 1.0);
+  const bool met = latency <= options_.slo;
+  if (met) {
+    ++req_met_[o];
+    metrics_.add(slo_req_met_[o], 1.0);
   }
-}
-
-std::uint32_t HealthMonitor::begin_request(std::uint32_t client, IoOp op,
-                                           Bytes offset, Bytes size,
-                                           Seconds now, std::uint32_t file) {
-  advance(now);
-  std::uint32_t id;
-  if (!req_free_.empty()) {
-    id = req_free_.back();
-    req_free_.pop_back();
-  } else {
-    id = static_cast<std::uint32_t>(reqs_.size());
-    reqs_.emplace_back();
+  if (tenant == kNoId) return;
+  while (tenant_slo_.size() <= tenant) {
+    const LabelSet tl =
+        LabelSet{}.tenant(static_cast<std::uint32_t>(tenant_slo_.size()));
+    tenant_slo_.push_back(TenantSlo{0, 0, Series{m_slo_tenant_total_, tl},
+                                    Series{m_slo_tenant_met_, tl}});
   }
-  PendingReq& r = reqs_[id];
-  r.down = downstream_ != nullptr
-               ? downstream_->begin_request(client, op, offset, size, now, file)
-               : kNoId;
-  r.op = op;
-  r.file = file;
-  r.issue = now;
-  r.live = true;
-  return id;
-}
-
-std::uint32_t HealthMonitor::begin_sub(std::uint32_t request,
-                                       std::uint32_t server,
-                                       std::uint32_t region, Bytes bytes,
-                                       Seconds now) {
-  advance(now);
-  const PendingReq* req =
-      request < reqs_.size() && reqs_[request].live ? &reqs_[request]
-                                                    : nullptr;
-  std::uint32_t id;
-  if (!sub_free_.empty()) {
-    id = sub_free_.back();
-    sub_free_.pop_back();
-  } else {
-    id = static_cast<std::uint32_t>(subs_.size());
-    subs_.emplace_back();
+  TenantSlo& ts = tenant_slo_[tenant];
+  ++ts.total;
+  metrics_.add(ts.total_series, 1.0);
+  if (met) {
+    ++ts.met;
+    metrics_.add(ts.met_series, 1.0);
   }
-  PendingSub& s = subs_[id];
-  s.down = downstream_ != nullptr && req != nullptr && req->down != kNoId
-               ? downstream_->begin_sub(req->down, server, region, bytes, now)
-               : kNoId;
-  s.server = server;
-  s.op = req != nullptr ? req->op : IoOp::kRead;
-  s.live = true;
-  return id;
-}
-
-void HealthMonitor::sub_storage(std::uint32_t sub, Seconds arrival,
-                                Seconds start, Seconds startup,
-                                Seconds service) {
-  advance(arrival);
-  if (sub < subs_.size() && subs_[sub].live) {
-    PendingSub& s = subs_[sub];
-    if (options_.slo > 0.0 && s.server != kNoId) {
-      // Server-resident time: queue wait plus the full storage service.
-      const Seconds resident = (start - arrival) + service;
-      ServerState& st = server_state(s.server);
-      ++st.slo_total;
-      metrics_.add(st.slo_total_series, 1.0);
-      if (resident <= options_.slo) {
-        ++st.slo_met;
-        metrics_.add(st.slo_met_series, 1.0);
-      }
-    }
-    if (downstream_ != nullptr && s.down != kNoId) {
-      downstream_->sub_storage(s.down, arrival, start, startup, service);
-    }
-    // Writes complete at the storage stage; reads stay live until the final
-    // network event.
-    if (s.op == IoOp::kWrite) free_sub(sub);
-  }
-}
-
-void HealthMonitor::sub_net_done(std::uint32_t sub, Seconds now) {
-  advance(now);
-  if (sub < subs_.size() && subs_[sub].live) {
-    if (downstream_ != nullptr && subs_[sub].down != kNoId) {
-      downstream_->sub_net_done(subs_[sub].down, now);
-    }
-    free_sub(sub);
-  }
-}
-
-void HealthMonitor::end_request(std::uint32_t request, Seconds now) {
-  advance(now);
-  if (request < reqs_.size() && reqs_[request].live) {
-    PendingReq& r = reqs_[request];
-    if (options_.slo > 0.0) {
-      const std::size_t op = r.op == IoOp::kRead ? 0 : 1;
-      ++req_total_[op];
-      metrics_.add(slo_req_total_[op], 1.0);
-      const bool met = now - r.issue <= options_.slo;
-      if (met) {
-        ++req_met_[op];
-        metrics_.add(slo_req_met_[op], 1.0);
-      }
-      if (r.file != kNoId && r.file < tenant_of_.size()) {
-        const std::uint32_t tenant = tenant_of_[r.file];
-        while (tenant_slo_.size() <= tenant) {
-          const LabelSet tl = LabelSet{}.tenant(
-              static_cast<std::uint32_t>(tenant_slo_.size()));
-          tenant_slo_.push_back(TenantSlo{0, 0,
-                                          Series{m_slo_tenant_total_, tl},
-                                          Series{m_slo_tenant_met_, tl}});
-        }
-        TenantSlo& ts = tenant_slo_[tenant];
-        ++ts.total;
-        metrics_.add(ts.total_series, 1.0);
-        if (met) {
-          ++ts.met;
-          metrics_.add(ts.met_series, 1.0);
-        }
-      }
-    }
-    if (downstream_ != nullptr && r.down != kNoId) {
-      downstream_->end_request(r.down, now);
-    }
-    r.live = false;
-    req_free_.push_back(request);
-  }
-}
-
-void HealthMonitor::adaptive_event(AdaptiveEvent event, std::uint32_t epoch,
-                                   Bytes bytes, Seconds now) {
-  advance(now);
-  if (downstream_ != nullptr) {
-    downstream_->adaptive_event(event, epoch, bytes, now);
-  }
-}
-
-void HealthMonitor::cache_event(Bytes hit_bytes, Bytes miss_bytes,
-                                Seconds now) {
-  advance(now);
-  ts_.record_cache(hit_bytes, miss_bytes, now);
-  if (downstream_ != nullptr) {
-    downstream_->cache_event(hit_bytes, miss_bytes, now);
-  }
-}
-
-void HealthMonitor::health_event(HealthEvent event, std::uint32_t server,
-                                 double score, Seconds now) {
-  if (downstream_ != nullptr) {
-    downstream_->health_event(event, server, score, now);
-  }
-}
-
-void HealthMonitor::free_sub(std::uint32_t sub) {
-  subs_[sub].live = false;
-  sub_free_.push_back(sub);
 }
 
 // --- scoring -----------------------------------------------------------------
@@ -317,9 +152,9 @@ void HealthMonitor::score_window(std::int64_t w) {
         st.flagged = true;
         ++st.flag_count;
         metrics_.add(st.flagged_series, 1.0);
-        if (downstream_ != nullptr) {
-          downstream_->health_event(HealthEvent::kStragglerFlagged, s.server,
-                                    score, window_end);
+        if (recorder_ != nullptr) {
+          recorder_->health_event(Recorder::HealthEvent::kStragglerFlagged,
+                                  s.server, score, window_end);
         }
       }
     } else if (score <= options_.recover_threshold) {
@@ -329,9 +164,9 @@ void HealthMonitor::score_window(std::int64_t w) {
         st.flagged = false;
         ++st.recover_count;
         metrics_.add(st.recovered_series, 1.0);
-        if (downstream_ != nullptr) {
-          downstream_->health_event(HealthEvent::kStragglerRecovered,
-                                    s.server, score, window_end);
+        if (recorder_ != nullptr) {
+          recorder_->health_event(Recorder::HealthEvent::kStragglerRecovered,
+                                  s.server, score, window_end);
         }
       }
     } else {

@@ -1,6 +1,7 @@
 // In-flight job set of one resource, for the exact queue depth at each
-// arrival (the recorder's depth timelines, the health monitor's per-window
-// depth maxima).
+// arrival.  The recorder keeps one per track; a server disk's depth feeds
+// both the recorder's depth timeline and the health monitor's per-window
+// depth maxima.
 //
 // Finish times are kept sorted in a deque.  A FIFO resource finishes its
 // jobs in arrival order, so an admit is an append and expiry pops the front:

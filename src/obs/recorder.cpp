@@ -5,6 +5,7 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "src/obs/health.hpp"
 #include "src/obs/json_text.hpp"
 
 namespace harl::obs {
@@ -138,7 +139,13 @@ std::uint32_t Recorder::register_server(std::uint32_t server,
   tracks_[id].tier = tier;
   tracks_[id].is_ssd = is_ssd;
   server_meta(server) = make_server_meta(server, id, tier, is_ssd);
+  if (health_ != nullptr) health_->add_server(server);
   return id;
+}
+
+void Recorder::set_health(HealthMonitor* health) {
+  health_ = health;
+  if (health_ != nullptr) health_->recorder_ = this;
 }
 
 Recorder::ServerMeta Recorder::make_server_meta(std::uint32_t server,
@@ -245,6 +252,7 @@ void Recorder::push_event(const TraceEvent& event) {
 
 void Recorder::resource_event(std::uint32_t track, Seconds arrival,
                               Seconds start, Seconds finish) {
+  if (health_ != nullptr) health_->advance(arrival);
   if (track >= tracks_.size()) return;
   TrackState& t = tracks_[track];
   note_time(finish);
@@ -262,6 +270,9 @@ void Recorder::resource_event(std::uint32_t track, Seconds arrival,
       static_cast<std::uint64_t>(t.inflight.admit(arrival, finish));
   t.depth_max = std::max(t.depth_max, depth);
   t.depth_timeline.sample_max(arrival, static_cast<double>(depth));
+  if (health_ != nullptr && t.kind == TrackKind::kServerDisk) {
+    health_->server_job(t.entity, arrival, start, finish, depth);
+  }
   if (t.is_mds) {
     // MDS resident time (queue wait + lookup service): contention across
     // colliding opens shows up in this sketch's tail exactly as the
@@ -281,6 +292,7 @@ void Recorder::resource_event(std::uint32_t track, Seconds arrival,
 void Recorder::server_access(std::uint32_t server, IoOp op,
                              std::uint32_t region, Bytes bytes, Bytes pieces,
                              Seconds now) {
+  if (health_ != nullptr) health_->advance(now);
   note_time(now);
   ServerMeta& meta = server_meta(server);
   const std::size_t o = op_index(op);
@@ -302,6 +314,7 @@ void Recorder::server_access(std::uint32_t server, IoOp op,
 std::uint32_t Recorder::begin_request(std::uint32_t client, IoOp op,
                                       Bytes offset, Bytes size, Seconds now,
                                       std::uint32_t file) {
+  if (health_ != nullptr) health_->advance(now);
   note_time(now);
   std::uint32_t id;
   if (!req_free_.empty()) {
@@ -326,6 +339,7 @@ std::uint32_t Recorder::begin_request(std::uint32_t client, IoOp op,
 std::uint32_t Recorder::begin_sub(std::uint32_t request, std::uint32_t server,
                                   std::uint32_t region, Bytes bytes,
                                   Seconds now) {
+  if (health_ != nullptr) health_->advance(now);
   note_time(now);
   if (request >= req_slots_.size()) return kNoId;
   ActiveRequest& r = req_slots_[request];
@@ -350,8 +364,13 @@ std::uint32_t Recorder::begin_sub(std::uint32_t request, std::uint32_t server,
 
 void Recorder::sub_storage(std::uint32_t sub, Seconds arrival, Seconds start,
                            Seconds startup, Seconds service) {
+  if (health_ != nullptr) health_->advance(arrival);
   if (sub >= sub_slots_.size()) return;
   ActiveSub& s = sub_slots_[sub];
+  if (health_ != nullptr) {
+    // Server-resident time: queue wait plus the full storage service.
+    health_->sub_resident(s.server, (start - arrival) + service);
+  }
   s.arrival = arrival;
   s.start = start;
   s.startup = startup;
@@ -366,6 +385,7 @@ void Recorder::sub_storage(std::uint32_t sub, Seconds arrival, Seconds start,
 }
 
 void Recorder::sub_net_done(std::uint32_t sub, Seconds now) {
+  if (health_ != nullptr) health_->advance(now);
   if (sub >= sub_slots_.size()) return;
   const ActiveSub& s = sub_slots_[sub];
   // T_X for a read: time from storage completion to the last byte landing
@@ -406,6 +426,7 @@ void Recorder::finalize_sub(std::uint32_t sub, Seconds t_x, Seconds done) {
 }
 
 void Recorder::end_request(std::uint32_t request, Seconds now) {
+  if (health_ != nullptr) health_->advance(now);
   if (request >= req_slots_.size()) return;
   note_time(now);
   ActiveRequest& r = req_slots_[request];
@@ -427,6 +448,11 @@ void Recorder::end_request(std::uint32_t request, Seconds now) {
     FileSeries& fs = file_series(r.file);
     metrics_.add(fs.bytes[o], static_cast<double>(r.size));
     metrics_.observe(fs.latency[o], now - r.issue);
+  }
+  if (health_ != nullptr) {
+    const std::uint32_t tenant =
+        r.file < tenant_of_.size() ? tenant_of_[r.file] : kNoId;
+    health_->request_done(r.op, tenant, now - r.issue);
   }
   if (predictor_) {
     sample.predicted = predictor_(r.op, r.offset, r.size);
@@ -464,6 +490,7 @@ void Recorder::end_request(std::uint32_t request, Seconds now) {
 
 void Recorder::adaptive_event(AdaptiveEvent event, std::uint32_t epoch,
                               Bytes bytes, Seconds now) {
+  if (health_ != nullptr) health_->advance(now);
   note_time(now);
   if (!options_.trace) return;
   if (adaptive_track_ == kNoId) {
@@ -474,6 +501,12 @@ void Recorder::adaptive_event(AdaptiveEvent event, std::uint32_t epoch,
   // in `arg`.
   push_event(TraceEvent{now, 0.0, adaptive_track_, EventType::kInstant,
                         static_cast<std::uint8_t>(event), epoch, bytes});
+}
+
+void Recorder::cache_event(Bytes hit_bytes, Bytes miss_bytes, Seconds now) {
+  if (health_ == nullptr) return;
+  health_->advance(now);
+  health_->cache(hit_bytes, miss_bytes, now);
 }
 
 void Recorder::health_event(HealthEvent event, std::uint32_t server,

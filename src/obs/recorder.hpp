@@ -20,6 +20,12 @@
 // a fixed bucket count whose width doubles (adjacent buckets coalescing) as
 // simulated time grows, so memory stays bounded without choosing a horizon
 // up front.
+//
+// The recorder is the only obs::Sink.  An attached HealthMonitor
+// (set_health) is driven from its hooks: each hook first advances the
+// monitor's window watermark, then hands it what the recorder already holds
+// (a server-disk job with its in-flight depth, a sub-request's resident
+// time, a request's op/tenant/latency, cache hit/miss bytes).
 #pragma once
 
 #include <array>
@@ -35,6 +41,8 @@
 #include "src/obs/sink.hpp"
 
 namespace harl::obs {
+
+class HealthMonitor;
 
 /// Additive or max-sampled time series with a bounded bucket count: when an
 /// event lands past the last bucket, adjacent buckets coalesce (width
@@ -104,8 +112,26 @@ class Recorder final : public Sink {
   void end_request(std::uint32_t request, Seconds now) override;
   void adaptive_event(AdaptiveEvent event, std::uint32_t epoch, Bytes bytes,
                       Seconds now) override;
+  void cache_event(Bytes hit_bytes, Bytes miss_bytes, Seconds now) override;
+
+  // --- health monitor -----------------------------------------------------
+
+  /// Drives `health` (not owned; nullptr detaches) from this recorder's
+  /// hooks.  Attach before the Cluster registers its servers, so idle
+  /// servers still report.
+  void set_health(HealthMonitor* health);
+
+  /// Health-monitor lifecycle instants, emitted by the attached
+  /// HealthMonitor when a server's rolling slowness score crosses the
+  /// flag/recover hysteresis.
+  enum class HealthEvent : std::uint8_t {
+    kStragglerFlagged,    ///< score stayed above the flag threshold
+    kStragglerRecovered,  ///< score dropped back below the recover threshold
+  };
+
+  /// One health instant for `server` with the triggering slowness `score`.
   void health_event(HealthEvent event, std::uint32_t server, double score,
-                    Seconds now) override;
+                    Seconds now);
 
   // --- attribution --------------------------------------------------------
 
@@ -116,8 +142,8 @@ class Recorder final : public Sink {
   void set_predictor(Predictor predictor) { predictor_ = std::move(predictor); }
 
   /// Namespace tenant mapping: tenant_of[file] labels per-file series with
-  /// their tenant.  Files beyond the vector (and the legacy kNoId path) get
-  /// no tenant label.
+  /// their tenant and attributes the health monitor's per-tenant SLO.  Files
+  /// beyond the vector (and the legacy kNoId path) get no tenant.
   void set_tenant_of(std::vector<std::uint32_t> tenant_of) {
     tenant_of_ = std::move(tenant_of);
     file_series_.clear();  // labels carry the tenant: rebuild lazily
@@ -233,7 +259,8 @@ class Recorder final : public Sink {
     LogHistogram service;
     Timeline busy_timeline;
     Timeline depth_timeline;
-    /// Outstanding jobs: exact in-flight count at each arrival.
+    /// Outstanding jobs: exact in-flight count at each arrival (for a
+    /// server disk, also the health monitor's queue depth).
     InflightJobs inflight;
 
     TrackState(std::string name_, TrackKind kind_, std::uint32_t entity_,
@@ -297,6 +324,7 @@ class Recorder final : public Sink {
   Options options_;
   MetricsRegistry metrics_;
   Predictor predictor_;
+  HealthMonitor* health_ = nullptr;
 
   std::vector<TrackState> tracks_;
   std::vector<ServerMeta> servers_;        // by global server index

@@ -9,8 +9,10 @@
 // obs_disabled_dispatch_rate_per_s / max_obs_disabled_regression fields of
 // bench/bench_sim_baseline.json) pins that property, and
 // max_obs_enabled_overhead there caps the cost of an attached recorder.
-// `obs::Recorder` is the standard implementation: a metrics registry plus a
-// simulated-time flight recorder; tests may substitute their own sinks.
+// `obs::Recorder` is the one implementation: a metrics registry plus a
+// simulated-time flight recorder, which also drives an attached
+// obs::HealthMonitor.  The interface stays virtual only so the sim, net and
+// pfs layers need not include the recorder.
 //
 // All timestamps are *simulated* seconds (sim::Time == Seconds): the trace
 // shows where simulated time goes, which is the quantity the paper's Fig. 1a
@@ -105,7 +107,7 @@ class Sink {
   /// All sub-requests of `request` completed at `now`.
   virtual void end_request(std::uint32_t request, Seconds now) = 0;
 
-  // --- adaptive layout (cold path, optional) -------------------------------
+  // --- adaptive layout (cold path) -----------------------------------------
 
   /// Adaptive-layout lifecycle instants (epoch swaps and migration phases),
   /// emitted by the middleware AdaptiveLayoutManager.
@@ -117,45 +119,16 @@ class Sink {
 
   /// One adaptive-layout instant: `epoch` is the epoch id, `bytes` the
   /// event's payload (affected extent / bytes scheduled / bytes migrated).
-  /// Defaulted to a no-op so existing sinks are unaffected.
   virtual void adaptive_event(AdaptiveEvent event, std::uint32_t epoch,
-                              Bytes bytes, Seconds now) {
-    (void)event;
-    (void)epoch;
-    (void)bytes;
-    (void)now;
-  }
+                              Bytes bytes, Seconds now) = 0;
 
-  // --- telemetry plane (DESIGN.md §15, optional) ---------------------------
+  // --- telemetry plane (DESIGN.md §15) -------------------------------------
 
   /// Cache read outcome for one client call: `hit_bytes` were served from the
   /// read cache, `miss_bytes` went to the backing layout.  Emitted by the
-  /// CacheManager; feeds the TimeSeries hit-rate timeline.  Defaulted to a
-  /// no-op so existing sinks are unaffected.  Forwarding sinks (e.g.
-  /// AdaptiveLayoutManager, HealthMonitor) must override and forward, or the
-  /// event is swallowed.
-  virtual void cache_event(Bytes hit_bytes, Bytes miss_bytes, Seconds now) {
-    (void)hit_bytes;
-    (void)miss_bytes;
-    (void)now;
-  }
-
-  /// Health-monitor lifecycle instants, emitted by obs::HealthMonitor when a
-  /// server's rolling slowness score crosses the flag/recover hysteresis.
-  enum class HealthEvent : std::uint8_t {
-    kStragglerFlagged,    ///< score stayed above the flag threshold
-    kStragglerRecovered,  ///< score dropped back below the recover threshold
-  };
-
-  /// One health instant for `server` with the triggering slowness `score`.
-  /// Defaulted to a no-op so existing sinks are unaffected.
-  virtual void health_event(HealthEvent event, std::uint32_t server,
-                            double score, Seconds now) {
-    (void)event;
-    (void)server;
-    (void)score;
-    (void)now;
-  }
+  /// CacheManager; feeds the health monitor's hit-rate timeline.
+  virtual void cache_event(Bytes hit_bytes, Bytes miss_bytes,
+                           Seconds now) = 0;
 };
 
 }  // namespace harl::obs

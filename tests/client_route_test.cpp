@@ -3,6 +3,9 @@
 // failed server — must behave identically whether or not a flight recorder
 // observes the run, and the unobserved routes must stay allocation-free on
 // the event path (every continuation fits InlineTask's in-place buffer).
+// The same holds for adaptive re-layout, single-file and per-file in a
+// population: the runner feeds the advisor whether or not anything observes
+// the run, so its epochs must not depend on observation either.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -14,7 +17,13 @@
 namespace harl::harness {
 namespace {
 
-enum class Route { kPlain, kCache, kReplicated };
+enum class Route {
+  kPlain,
+  kCache,
+  kReplicated,
+  kAdaptive,
+  kAdaptivePopulation,
+};
 
 std::string route_name(const testing::TestParamInfo<Route>& info) {
   switch (info.param) {
@@ -24,6 +33,10 @@ std::string route_name(const testing::TestParamInfo<Route>& info) {
       return "ZipfReadsThroughCache";
     case Route::kReplicated:
       return "ReplicatedPopulationWithFailure";
+    case Route::kAdaptive:
+      return "AdaptiveDriftingMultiregion";
+    case Route::kAdaptivePopulation:
+      return "AdaptivePopulationWithFailure";
   }
   return "Unknown";
 }
@@ -41,6 +54,9 @@ struct Outcome {
   std::uint64_t heap_callbacks = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t degraded_reads = 0;
+  std::size_t adaptive_windows = 0;  ///< advisor windows (adaptive routes)
+  std::size_t adaptive_epochs = 0;   ///< epochs installed (adaptive routes)
+  bool degraded_replan = false;      ///< a per-file advisor saw the failure
 };
 
 ExperimentOptions small_options(bool observe) {
@@ -53,9 +69,10 @@ ExperimentOptions small_options(bool observe) {
 }
 
 Outcome run_scheme(const ExperimentOptions& options,
-                   const WorkloadBundle& bundle) {
+                   const WorkloadBundle& bundle,
+                   const LayoutScheme& scheme = LayoutScheme::fixed(64 * KiB)) {
   Experiment experiment(options);
-  const SchemeResult r = experiment.run(bundle, LayoutScheme::fixed(64 * KiB));
+  const SchemeResult r = experiment.run(bundle, scheme);
   std::ostringstream os;
   os.precision(17);
   os << r.label << '|' << r.layout_description;
@@ -70,6 +87,16 @@ Outcome run_scheme(const ExperimentOptions& options,
     os << "|cache " << c.lookups << ' ' << c.hits << ' ' << c.admissions
        << ' ' << c.evictions << ' ' << r.cache->fill_bytes;
     out.cache_hits = c.hits;
+  }
+  if (r.adaptive.has_value()) {
+    const auto& a = *r.adaptive;
+    os << "|adaptive " << a.epochs_installed << ' ' << a.windows_analyzed
+       << ' ' << a.recommendations << ' ' << a.recommendations_deferred << ' '
+       << a.migrated_bytes << ' ' << a.migration_chunks << ' '
+       << a.migration_interference << ' ' << a.cost_evals << ' '
+       << a.cost_evals_saved;
+    out.adaptive_windows = a.windows_analyzed;
+    out.adaptive_epochs = a.epochs_installed;
   }
   out.rows = os.str();
   out.observed = r.obs != nullptr;
@@ -100,34 +127,55 @@ Outcome run_route(Route route, bool observe) {
       options.cache.devices = 2;
       return run_scheme(options, zipf_bundle(zipf));
     }
-    case Route::kReplicated: {
+    case Route::kAdaptive: {
+      // The drifting multiregion recipe: the offline plan goes stale, so the
+      // advisor re-plans and installs epochs mid-run.
+      workloads::MultiRegionConfig mr;
+      mr.processes = 4;
+      mr.coverage = 0.05;
+      mr.seed = 7;
+      mr.drift_phases = 2;
+      mr.drift_factor = 0.125;
+      options.adaptive.advisor.window = 256;
+      return run_scheme(options, multiregion_bundle(mr),
+                        LayoutScheme::harl_adaptive());
+    }
+    case Route::kReplicated:
+    case Route::kAdaptivePopulation: {
+      const bool adaptive = route == Route::kAdaptivePopulation;
       PopulationSpec spec;
       spec.files = 4;
       spec.processes = 4;
       spec.file_size = 8 * MiB;
       const auto population = make_population(spec);
-      options.cluster.fail_server = 3;
-      options.cluster.fail_at = 0.02;
+      options.cluster.fail_server = adaptive ? 7 : 3;
+      options.cluster.fail_at = adaptive ? 0.05 : 0.02;
+      options.adaptive.advisor.window = 16;
       Experiment experiment(options);
       const PopulationResult r = run_population(
-          experiment, population, LayoutScheme::fixed(64 * KiB));
+          experiment, population,
+          adaptive ? LayoutScheme::harl_adaptive()
+                   : LayoutScheme::fixed(64 * KiB));
       std::ostringstream os;
       os.precision(17);
+      Outcome out;
       for (const auto& f : r.files) {
         os << f.name << '|' << f.tenant << '|' << f.layout_description;
         print_phase(os, f.total);
-        os << '\n';
+        os << "|epochs " << f.adaptive_epochs << '\n';
+        out.adaptive_epochs += f.adaptive_epochs;
       }
       print_phase(os, r.total);
       for (const Seconds t : r.server_io_time) os << '|' << t;
       os << "|requests " << r.requests_issued << "|degraded "
          << r.degraded_reads << "|replica " << r.replica_writes
-         << "|rebuilt " << r.rebuilt_bytes << ' ' << r.rebuild_finished_at;
-      Outcome out;
+         << "|rebuilt " << r.rebuilt_bytes << ' ' << r.rebuild_finished_at
+         << "|replan " << r.degraded_replan;
       out.rows = os.str();
       out.observed = r.obs != nullptr;
       out.heap_callbacks = r.sim_stats.heap_callbacks;
       out.degraded_reads = r.degraded_reads;
+      out.degraded_replan = r.degraded_replan;
       return out;
     }
   }
@@ -149,11 +197,20 @@ TEST_P(ClientRoute, ObservingARunDoesNotChangeIt) {
   if (GetParam() == Route::kReplicated) {
     EXPECT_GT(plain.degraded_reads, 0u);
   }
+  if (GetParam() == Route::kAdaptive) {
+    EXPECT_GT(plain.adaptive_windows, 0u);
+    EXPECT_GT(plain.adaptive_epochs, 0u);
+  }
+  if (GetParam() == Route::kAdaptivePopulation) {
+    EXPECT_GT(plain.degraded_reads, 0u);
+    EXPECT_TRUE(plain.degraded_replan);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Routes, ClientRoute,
                          testing::Values(Route::kPlain, Route::kCache,
-                                         Route::kReplicated),
+                                         Route::kReplicated, Route::kAdaptive,
+                                         Route::kAdaptivePopulation),
                          route_name);
 
 TEST(ClientRoute, UnobservedPlainRunSpillsNoContinuation) {

@@ -365,15 +365,16 @@ TEST(InflightJobs, MatchesAMinHeapForAnyFinishOrder) {
 
 // ---------------------------------------------------------- health monitor ----
 
-/// Drives one synthetic job per (window, server) directly through the Sink
-/// surface: server `slow`'s latency is `slow_lat`, everyone else's 0.1 s.
-void feed_window(obs::HealthMonitor& hm,
+/// Drives one synthetic job per (window, server) through the recorder the
+/// monitor is attached to: server `slow`'s latency is `slow_lat`, everyone
+/// else's 0.1 s.
+void feed_window(obs::Recorder& rec,
                  const std::vector<std::uint32_t>& tracks, std::int64_t w,
                  int slow, double slow_lat) {
   for (std::size_t s = 0; s < tracks.size(); ++s) {
     const double arrival = static_cast<double>(w) + 0.05;
     const double lat = static_cast<int>(s) == slow ? slow_lat : 0.1;
-    hm.resource_event(tracks[s], arrival, arrival, arrival + lat);
+    rec.resource_event(tracks[s], arrival, arrival, arrival + lat);
   }
 }
 
@@ -384,27 +385,29 @@ TEST(HealthMonitor, FlagAndRecoverHysteresis) {
   opt.recover_threshold = 1.25;
   opt.flag_windows = 2;
   opt.recover_windows = 2;
-  obs::HealthMonitor hm(opt, nullptr);
+  obs::HealthMonitor hm(opt);
+  obs::Recorder rec;
+  rec.set_health(&hm);
   std::vector<std::uint32_t> tracks;
   for (std::uint32_t s = 0; s < 3; ++s) {
-    tracks.push_back(hm.register_server(s, 0, "srv", false));
+    tracks.push_back(rec.register_server(s, 0, "srv", false));
   }
 
   // Windows 0-1 healthy; 2-3 server 0 slow (score 10 >= threshold).  One
   // slow window must NOT flag (hysteresis); the second must.
-  feed_window(hm, tracks, 0, -1, 0.0);
-  feed_window(hm, tracks, 1, -1, 0.0);
-  feed_window(hm, tracks, 2, 0, 1.0);
-  feed_window(hm, tracks, 3, 0, 1.0);
-  feed_window(hm, tracks, 4, 0, 0.1);  // watermark: scores windows 0-3
+  feed_window(rec, tracks, 0, -1, 0.0);
+  feed_window(rec, tracks, 1, -1, 0.0);
+  feed_window(rec, tracks, 2, 0, 1.0);
+  feed_window(rec, tracks, 3, 0, 1.0);
+  feed_window(rec, tracks, 4, 0, 0.1);  // watermark: scores windows 0-3
   EXPECT_TRUE(hm.is_flagged(0));
   EXPECT_FALSE(hm.is_flagged(1));
   EXPECT_NEAR(hm.server_score(0), 10.0, 1e-9);
 
   // Two healthy windows recover it — but only after BOTH have scored.
-  feed_window(hm, tracks, 5, -1, 0.0);  // scores window 4: one healthy
+  feed_window(rec, tracks, 5, -1, 0.0);  // scores window 4: one healthy
   EXPECT_TRUE(hm.is_flagged(0));
-  feed_window(hm, tracks, 6, -1, 0.0);  // scores window 5: second healthy
+  feed_window(rec, tracks, 6, -1, 0.0);  // scores window 5: second healthy
   EXPECT_FALSE(hm.is_flagged(0));
   hm.finalize();  // scores the trailing window 6 (idempotent afterwards)
   EXPECT_DOUBLE_EQ(hm.metrics().value("health.straggler_flagged",
@@ -428,15 +431,17 @@ TEST(HealthMonitor, DeadBandResetsBothStreaks) {
   opt.flag_threshold = 2.0;
   opt.recover_threshold = 1.25;
   opt.flag_windows = 2;
-  obs::HealthMonitor hm(opt, nullptr);
+  obs::HealthMonitor hm(opt);
+  obs::Recorder rec;
+  rec.set_health(&hm);
   std::vector<std::uint32_t> tracks;
   for (std::uint32_t s = 0; s < 3; ++s) {
-    tracks.push_back(hm.register_server(s, 0, "srv", false));
+    tracks.push_back(rec.register_server(s, 0, "srv", false));
   }
   // Alternate slow (score 10) and dead-band (score 1.5) windows: the flag
   // streak resets every other window, so server 0 is never flagged.
   for (std::int64_t w = 0; w < 8; ++w) {
-    feed_window(hm, tracks, w, 0, w % 2 == 0 ? 1.0 : 0.15);
+    feed_window(rec, tracks, w, 0, w % 2 == 0 ? 1.0 : 0.15);
   }
   hm.finalize();
   EXPECT_FALSE(hm.is_flagged(0));
@@ -449,22 +454,24 @@ TEST(HealthMonitor, SloAttainmentTracksRequestsAndSubs) {
   obs::HealthMonitor::Options opt;
   opt.interval = 1.0;
   opt.slo = 0.5;
-  obs::HealthMonitor hm(opt, nullptr);
-  const std::uint32_t track = hm.register_server(2, 0, "srv", true);
+  obs::HealthMonitor hm(opt);
+  obs::Recorder rec;
+  rec.set_health(&hm);
+  const std::uint32_t track = rec.register_server(2, 0, "srv", true);
   (void)track;
 
   // Request 1 (read): sub resident 0.3 s <= SLO, request latency 0.4 s.
-  const std::uint32_t r1 = hm.begin_request(0, IoOp::kRead, 0, KiB, 0.0);
-  const std::uint32_t s1 = hm.begin_sub(r1, 2, 0, KiB, 0.0);
-  hm.sub_storage(s1, 0.0, 0.1, 0.05, 0.2);  // (0.1-0.0) + 0.2 = 0.3
-  hm.sub_net_done(s1, 0.35);
-  hm.end_request(r1, 0.4);
+  const std::uint32_t r1 = rec.begin_request(0, IoOp::kRead, 0, KiB, 0.0);
+  const std::uint32_t s1 = rec.begin_sub(r1, 2, 0, KiB, 0.0);
+  rec.sub_storage(s1, 0.0, 0.1, 0.05, 0.2);  // (0.1-0.0) + 0.2 = 0.3
+  rec.sub_net_done(s1, 0.35);
+  rec.end_request(r1, 0.4);
   // Request 2 (read): sub resident 0.8 s > SLO, request latency 0.9 s.
-  const std::uint32_t r2 = hm.begin_request(0, IoOp::kRead, 0, KiB, 1.0);
-  const std::uint32_t s2 = hm.begin_sub(r2, 2, 0, KiB, 1.0);
-  hm.sub_storage(s2, 1.0, 1.6, 0.05, 0.2);  // (1.6-1.0) + 0.2 = 0.8
-  hm.sub_net_done(s2, 1.85);
-  hm.end_request(r2, 1.9);
+  const std::uint32_t r2 = rec.begin_request(0, IoOp::kRead, 0, KiB, 1.0);
+  const std::uint32_t s2 = rec.begin_sub(r2, 2, 0, KiB, 1.0);
+  rec.sub_storage(s2, 1.0, 1.6, 0.05, 0.2);  // (1.6-1.0) + 0.2 = 0.8
+  rec.sub_net_done(s2, 1.85);
+  rec.end_request(r2, 1.9);
   hm.finalize();
 
   const obs::LabelSet by_server = obs::LabelSet{}.server(2);
@@ -485,20 +492,21 @@ TEST(HealthMonitor, SloAttainmentTracksRequestsAndSubs) {
             std::string::npos);
 }
 
-TEST(HealthMonitor, ForwardsEverySinkCallDownstream) {
-  // As a transparent forwarder in front of a Recorder, the monitor must not
-  // swallow anything: the recorder sees the same spans/requests it would
-  // have seen directly, plus the health instants the monitor originates.
+TEST(HealthMonitor, RecorderDrivesItFromTheSameJobs) {
+  // Attached to the observing recorder, the monitor sees every job the
+  // recorder counts: both jobs land in the recorder's summary and in the
+  // monitor's telemetry window.
   sim::Simulator sim;
   obs::Recorder rec;
   obs::HealthMonitor::Options opt;
   opt.interval = 1e-3;
   opt.flag_windows = 1;
   opt.min_window_jobs = 1;
-  obs::HealthMonitor hm(opt, &rec);
-  sim.set_observer(&hm);
+  obs::HealthMonitor hm(opt);
+  rec.set_health(&hm);
+  sim.set_observer(&rec);
   sim::FifoResource res(sim, "disk");
-  res.set_obs_track(hm.register_server(0, 0, "disk", false));
+  res.set_obs_track(rec.register_server(0, 0, "disk", false));
   res.submit(1e-3, [] {});
   res.submit(2e-3, [] {});
   sim.run();
@@ -619,11 +627,11 @@ TEST(Recorder, HealthScoreSaturatesInsteadOfOverflowing) {
   // inf.  Its micro-unit trace slot must saturate (and NaN must map to 0),
   // not hit the undefined out-of-range float -> integer conversion.
   obs::Recorder rec;
-  rec.health_event(obs::Sink::HealthEvent::kStragglerFlagged, 3,
+  rec.health_event(obs::Recorder::HealthEvent::kStragglerFlagged, 3,
                    std::numeric_limits<double>::infinity(), 1.0);
-  rec.health_event(obs::Sink::HealthEvent::kStragglerRecovered, 3,
+  rec.health_event(obs::Recorder::HealthEvent::kStragglerRecovered, 3,
                    std::numeric_limits<double>::quiet_NaN(), 2.0);
-  rec.health_event(obs::Sink::HealthEvent::kStragglerFlagged, 4, 2.5, 3.0);
+  rec.health_event(obs::Recorder::HealthEvent::kStragglerFlagged, 4, 2.5, 3.0);
   std::ostringstream out;
   rec.write_trace_json(out);
   const std::string json = out.str();
