@@ -28,9 +28,12 @@ const std::vector<std::size_t> kCounts = {4, 2, 2};
 pfs::ClusterConfig cluster_config() {
   pfs::ClusterConfig cfg;
   cfg.tiers = {
-      pfs::TierGroup{"hdd", kCounts[0], storage::hdd_profile(), false},
-      pfs::TierGroup{"sata", kCounts[1], storage::sata_ssd_profile(), true},
-      pfs::TierGroup{"nvme", kCounts[2], storage::nvme_ssd_profile(), true},
+      pfs::TierGroup{.name = "hdd", .count = kCounts[0],
+                     .profile = storage::hdd_profile(), .is_ssd = false},
+      pfs::TierGroup{.name = "sata", .count = kCounts[1],
+                     .profile = storage::sata_ssd_profile(), .is_ssd = true},
+      pfs::TierGroup{.name = "nvme", .count = kCounts[2],
+                     .profile = storage::nvme_ssd_profile(), .is_ssd = true},
   };
   return cfg;
 }
@@ -47,9 +50,11 @@ core::TieredCostParams tier_params() {
     prof->startup_max *= 0.55;
   }
   p.tiers = {
-      core::TierSpec{kCounts[0], hdd},
-      core::TierSpec{kCounts[1], storage::sata_ssd_profile()},
-      core::TierSpec{kCounts[2], storage::nvme_ssd_profile()},
+      core::TierSpec{.count = kCounts[0], .profile = hdd},
+      core::TierSpec{.count = kCounts[1],
+                     .profile = storage::sata_ssd_profile()},
+      core::TierSpec{.count = kCounts[2],
+                     .profile = storage::nvme_ssd_profile()},
   };
   return p;
 }
@@ -103,7 +108,8 @@ void run_tables() {
     out.startup_max = 0.5 * (out.startup_max + nvme.op(op).startup_max);
     out.per_byte = 0.5 * (out.per_byte + nvme.op(op).per_byte);
   }
-  p2.tiers = {p3.tiers[0], core::TierSpec{kCounts[1] + kCounts[2], blended}};
+  p2.tiers = {p3.tiers[0], core::TierSpec{.count = kCounts[1] + kCounts[2],
+                                          .profile = blended}};
 
   std::cout << "\n== Extension: three-tier layout (4 HDD + 2 SATA-SSD + 2 "
                "NVMe), simulated throughput ==\n";

@@ -33,7 +33,8 @@ std::vector<harness::SchemeResult> run() {
                             fixed64.total.throughput()),
         harl.layout_description,
     });
-    const std::string tag = "p" + std::to_string(procs);
+    std::string tag = "p";  // appended: "p" + to_string() trips -Wrestrict
+    tag += std::to_string(procs);
     fixed64.label = tag + "/64K";
     fixed256.label = tag + "/256K";
     harl.label = tag + "/HARL";

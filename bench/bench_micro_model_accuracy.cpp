@@ -68,9 +68,15 @@ void run_tables() {
         const Seconds sim_latency = simulated_latency(hs, op, size, samples);
         const double rel = std::abs(model - sim_latency) / sim_latency;
         worst = std::max(worst, rel);
+        // Appended: "{" + format_size() trips gcc 12's -Wrestrict.
+        std::string stripes = "{";
+        stripes += format_size(hs.h);
+        stripes += ",";
+        stripes += format_size(hs.s);
+        stripes += "}";
         table.add_row({
             format_size(size),
-            "{" + format_size(hs.h) + "," + format_size(hs.s) + "}",
+            stripes,
             std::string(to_string(op)),
             harness::cell(model * 1e3, 2),
             harness::cell(sim_latency * 1e3, 2),

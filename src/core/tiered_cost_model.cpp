@@ -1,6 +1,8 @@
 #include "src/core/tiered_cost_model.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "src/common/interval.hpp"
@@ -184,56 +186,277 @@ Seconds tiered_cost_kernel_devices(
   return network + startup + transfer;
 }
 
-Seconds tiered_cost_floor(const TierLayout& layout,
-                          std::span<const storage::OpProfile* const> profiles,
-                          std::span<const double> tier_factors, Seconds t,
-                          Seconds net_latency, int net_hops,
-                          Seconds per_stripe_overhead, Bytes size) {
-  const std::span<const std::size_t> counts = layout.counts();
-  const std::span<const Bytes> stripes = layout.stripes();
-  const Bytes S = layout.period();
-  const Bytes q = layout.by_period().quotient(size);
-  const Bytes rem = size - q * S;
+namespace {
 
-  // Mirrors tiered_cost_kernel_devices term for term, on floors of its
-  // integer inputs (see the header for why each is a floor).
-  Bytes max_bytes = 0;
-  Seconds startup = 0.0;
-  Seconds transfer = 0.0;
-  double max_pieces = 0.0;
+/// WindowFloor's relative shave, 1 - 2^-47 (see the header).
+constexpr double kWindowShave = 1.0 - 0x1p-47;
+/// From this size on, the T_T balance points are not located to within
+/// half a byte in double, so pieces fall back to the relaxed bound.
+constexpr Bytes kExactBalanceLimit = Bytes{1} << 44;
+
+}  // namespace
+
+WindowFloor::WindowFloor(const TieredCostParams& params)
+    : hops_t_(static_cast<double>(params.net_hops) * params.t),
+      latency_(params.net_latency),
+      per_stripe_(params.per_stripe_overhead) {
+  for (const TierSpec& tier : params.tiers) {
+    tier_count_.push_back(tier.count);
+    for (IoOp op : {IoOp::kRead, IoOp::kWrite}) {
+      const storage::OpProfile& p = tier.profile.op(op);
+      table_at_.push_back(startup_.size());
+      for (std::size_t touched = 0; touched <= tier.count; ++touched) {
+        startup_.push_back(startup_expected_max(p, touched));
+      }
+      weight_[op == IoOp::kRead ? 0 : 1].push_back(p.per_byte);
+    }
+  }
+  full_.resize(params.tiers.size());
+}
+
+void WindowFloor::bind(std::span<const std::size_t> counts,
+                       std::span<const Bytes> stripes,
+                       std::span<const double> tier_factors) {
+  if (counts.size() != tier_count_.size() ||
+      stripes.size() != counts.size() ||
+      tier_factors.size() != counts.size()) {
+    throw std::invalid_argument("window floor: tier count mismatch");
+  }
+  tiers_.clear();
+  cells_.clear();
+  Bytes end = 0;
   for (std::size_t j = 0; j < counts.size(); ++j) {
-    const Bytes tier_bytes = static_cast<Bytes>(counts[j]) * stripes[j];
-    if (tier_bytes == 0) continue;  // never touched: the kernel charges 0
-    const storage::OpProfile& p = *profiles[j];
-    const double f = tier_factors[j];
-    // Window bytes that must land on tier j, and the busiest member's share.
-    const Bytes forced = rem > S - tier_bytes ? rem - (S - tier_bytes) : 0;
-    const Bytes share = (forced + counts[j] - 1) / counts[j];
-    const Bytes tier_max = q * stripes[j] + share;
-    const std::size_t touched =
-        q > 0 ? counts[j]
-              : static_cast<std::size_t>(layout.by_stripe(j).quotient(
-                    forced + stripes[j] - 1));
-    max_bytes = std::max(max_bytes, tier_max);
-    if (touched > 0) {
-      startup = std::max(
-          startup, f * std::min(startup_expected_max(p, touched),
-                                startup_expected_max(p, counts[j])));
+    if (counts[j] > tier_count_[j]) {
+      throw std::invalid_argument("window floor: members exceed tier count");
     }
-    transfer = std::max(transfer,
-                        f * static_cast<double>(tier_max) * p.per_byte);
-    if (per_stripe_overhead > 0.0 && tier_max > 0) {
-      // ceil(tier_max / stripe): share is at most one stripe.
-      const Bytes pieces = q + (share > 0 ? 1 : 0);
-      max_pieces = std::max(max_pieces, f * static_cast<double>(pieces));
+    if (counts[j] == 0 || stripes[j] == 0) continue;  // never touched
+    Tier tier;
+    tier.stripe = stripes[j];
+    tier.count = counts[j];
+    tier.factor = tier_factors[j];
+    for (std::size_t o = 0; o < 2; ++o) {
+      tier.weight[o] = tier.factor * weight_[o][j];
+      tier.startup[o] = startup_.data() + table_at_[2 * j + o];
+    }
+    const auto index = static_cast<std::uint32_t>(tiers_.size());
+    tiers_.push_back(tier);
+    for (std::size_t i = 0; i < counts[j]; ++i) {
+      end += stripes[j];
+      cells_.push_back({end, index});
     }
   }
-  if (per_stripe_overhead > 0.0) {
-    transfer += per_stripe_overhead * max_pieces;
+  if (end == 0) throw std::invalid_argument("zero striping period");
+  period_ = end;
+}
+
+Seconds WindowFloor::operator()(IoOp op, Bytes size) {
+  const std::size_t o = op == IoOp::kRead ? 0 : 1;
+  const Bytes S = period_;
+  const Bytes q = size / S;
+  const Bytes rem = size - q * S;
+  const std::size_t k = tiers_.size();
+  const std::size_t n = cells_.size();
+  constexpr std::size_t kNone = ~std::size_t{0};
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::fill(full_.begin(), full_.end(), 0);
+
+  // The piece's constant terms, for the window whose start fragment lands on
+  // tier `a` and end fragment on tier `b` (kNone: no window): the largest
+  // byte count and weighted transfer of every other tier, the startup term
+  // and the per-stripe term.  All but k0/t0 are the kernel's bits exactly.
+  Bytes k0 = 0;
+  double t0 = 0.0;
+  double startup = 0.0;
+  double per_stripe = 0.0;
+  double wa = 0.0;
+  double wb = 0.0;
+  auto prepare = [&](std::size_t a, std::size_t b, bool two_cells) {
+    k0 = 0;
+    t0 = 0.0;
+    startup = 0.0;
+    double pieces = 0.0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const Tier& tier = tiers_[j];
+      const bool in_a = j == a;
+      const bool in_b = j == b;
+      const std::uint32_t full = full_[j];
+      const bool reached = full > 0 || in_a || in_b;
+      const std::size_t touched =
+          q > 0 ? tier.count : full + in_a + (in_b && two_cells);
+      startup = std::max(startup, tier.factor * tier.startup[o][touched]);
+      if (q > 0 || reached) {
+        pieces =
+            std::max(pieces, tier.factor * static_cast<double>(q + reached));
+      }
+      if (!in_a && !in_b) {
+        const Bytes base = q * tier.stripe + (full > 0 ? tier.stripe : 0);
+        k0 = std::max(k0, base);
+        t0 = std::max(t0, tier.weight[o] * static_cast<double>(base));
+      }
+    }
+    per_stripe = per_stripe_ > 0.0 ? per_stripe_ * pieces : 0.0;
+    wa = a == kNone ? 0.0 : tiers_[a].weight[o];
+    wb = b == kNone ? 0.0 : tiers_[b].weight[o];
+  };
+  // The cost with tier a at `ma` bytes and tier b at `mb` bytes.
+  auto value = [&](Bytes ma, Bytes mb) {
+    const Bytes max_bytes = std::max({k0, ma, mb});
+    const double transfer = std::max(
+        {t0, wa * static_cast<double>(ma), wb * static_cast<double>(mb)});
+    return latency_ + hops_t_ * static_cast<double>(max_bytes) + startup +
+           (transfer + per_stripe);
+  };
+
+  // Cells by unwrapped index: i in [n, 2n) is cell i - n one period on.
+  auto end_of = [&](std::size_t i) {
+    return i < n ? cells_[i].end : cells_[i - n].end + S;
+  };
+  auto tier_of = [&](std::size_t i) -> std::size_t {
+    return cells_[i < n ? i : i - n].tier;
+  };
+
+  // Minimum over the piece [x, x_end) whose window starts in cell A and
+  // ends in (unwrapped) cell B; full_ holds the cells strictly between.
+  auto piece = [&](std::size_t A, std::size_t B, Bytes x, Bytes x_end,
+                   Bytes full_bytes) {
+    const std::size_t a = tier_of(A);
+    const Tier& ta = tiers_[a];
+    const Bytes qa = q * ta.stripe;
+    if (B == A) {  // the window lies inside cell A
+      prepare(a, a, false);
+      return value(qa + rem, qa + rem);
+    }
+    const Bytes D = rem - full_bytes;  // the two fragments' sum
+    if (B == A + n) {  // the window wraps onto the head of cell A itself
+      prepare(a, a, false);
+      const Bytes m = full_[a] > 0 ? qa + ta.stripe : qa + D;
+      return value(m, m);
+    }
+    const std::size_t b = tier_of(B);
+    const Tier& tb = tiers_[b];
+    const Bytes qb = q * tb.stripe;
+    prepare(a, b, true);
+    // The start fragment runs from `hi` (at x) down to `lo` (at x_end - 1).
+    const Bytes hi = end_of(A) - x;
+    const Bytes lo = end_of(A) - (x_end - 1);
+    const bool live_a = full_[a] == 0;
+    const bool live_b = full_[b] == 0;
+    if (a == b) {
+      if (!live_a) return value(qa + ta.stripe, qa + ta.stripe);
+      // Only the larger fragment counts: smallest at D / 2.
+      double m = kInf;
+      for (Bytes alpha : {D / 2, D - D / 2}) {
+        alpha = std::clamp(alpha, lo, hi);
+        const Bytes bytes = qa + std::max(alpha, D - alpha);
+        m = std::min(m, value(bytes, bytes));
+      }
+      return m;
+    }
+    auto at = [&](Bytes alpha) {
+      return value(live_a ? qa + alpha : qa + ta.stripe,
+                   live_b ? qb + D - alpha : qb + tb.stripe);
+    };
+    if (!live_b) return at(lo);  // cost rises with the start fragment
+    if (!live_a) return at(hi);  // cost falls with it
+    if (size >= kExactBalanceLimit) return value(qa + lo, qb + D - hi);
+
+    // A(alpha) = fa + alpha, B(alpha) = fb - alpha.  [l1, r1] minimizes
+    // T_X, [l2, r2] minimizes T_T (infinite ends: flat that way).
+    const double fa = static_cast<double>(qa);
+    const double fb = static_cast<double>(qb + D);
+    double l1 = -kInf;
+    double r1 = kInf;
+    if (hops_t_ > 0.0) {
+      const double top = static_cast<double>(k0);
+      if (2.0 * top >= fa + fb) {
+        l1 = fb - top;
+        r1 = top - fa;
+      } else {
+        l1 = r1 = 0.5 * (fb - fa);
+      }
+    }
+    double l2 = -kInf;
+    double r2 = kInf;
+    if (wa > 0.0 && wb > 0.0) {
+      const double balance = (wb * fb - wa * fa) / (wa + wb);
+      if (t0 >= wa * (fa + balance)) {
+        l2 = fb - t0 / wb;
+        r2 = t0 / wa - fa;
+      } else {
+        l2 = r2 = balance;
+      }
+    } else if (wa > 0.0) {
+      r2 = t0 / wa - fa;
+    } else if (wb > 0.0) {
+      l2 = fb - t0 / wb;
+    }
+    double p1 = 0.0;
+    double p2 = 0.0;
+    if (r1 < l2) {
+      p1 = r1;
+      p2 = l2;
+    } else if (r2 < l1) {
+      p1 = l1;
+      p2 = r2;
+    } else {
+      p1 = std::max(l1, l2);
+      if (p1 == -kInf) p1 = std::min(r1, r2);
+      if (p1 == kInf) p1 = static_cast<double>(lo);
+      p2 = p1;
+    }
+    // The integer minimum is next to the real one: score the integers
+    // around each facing end, clipped to the piece.
+    double m = kInf;
+    for (const double p : {p1, p2}) {
+      const double c =
+          std::clamp(p, static_cast<double>(lo), static_cast<double>(hi));
+      const auto r = static_cast<Bytes>(std::nearbyint(c));
+      const Bytes last = std::min(r + 1, hi);
+      for (Bytes alpha = r > lo ? r - 1 : lo; alpha <= last; ++alpha) {
+        m = std::min(m, at(alpha));
+      }
+      if (p2 == p1) break;
+    }
+    return m;
+  };
+
+  double best = kInf;
+  if (rem == 0) {
+    prepare(kNone, kNone, false);
+    best = value(0, 0);
+  } else {
+    // Sweep the pieces: A is the start cell, B the (unwrapped) cell holding
+    // the window's last byte x + rem - 1.
+    std::size_t A = 0;
+    std::size_t B = 0;
+    while (cells_[B].end < rem) ++B;
+    Bytes full_bytes = 0;
+    for (std::size_t i = 1; i < B; ++i) {
+      ++full_[cells_[i].tier];
+      full_bytes += tiers_[cells_[i].tier].stripe;
+    }
+    for (Bytes x = 0; x < S;) {
+      const Bytes next_a = end_of(A);
+      const Bytes next_b = end_of(B) - rem + 1;
+      const Bytes x_end = std::min(next_a, next_b);
+      best = std::min(best, piece(A, B, x, x_end, full_bytes));
+      if (x_end == next_a && ++A < B) {  // cell A + 1 starts the window
+        --full_[tier_of(A)];
+        full_bytes -= tiers_[tier_of(A)].stripe;
+      }
+      if (x_end == next_b) {
+        if (B > A) {  // cell B is now covered whole
+          ++full_[tier_of(B)];
+          full_bytes += tiers_[tier_of(B)].stripe;
+        }
+        ++B;
+      }
+      x = x_end;
+    }
   }
-  const Seconds network = net_latency + static_cast<double>(net_hops) * t *
-                                            static_cast<double>(max_bytes);
-  return network + startup + transfer;
+  // Subnormal products carry absolute, not relative, rounding error.
+  if (!(best >= 0x1p-960)) return 0.0;
+  return best * kWindowShave;
 }
 
 namespace {

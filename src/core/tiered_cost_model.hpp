@@ -40,7 +40,7 @@ struct TierSpec {
   storage::TierProfile profile;    ///< alpha/beta parameters per op
   /// Canonical per-member speed factors; empty = homogeneous tier.  When
   /// non-empty the size must equal `count`.
-  std::vector<double> device_factors;
+  std::vector<double> device_factors = {};
 
   /// True when every member matches the tier profile (no device model).
   bool homogeneous() const { return device_factors.empty(); }
@@ -150,31 +150,92 @@ Seconds tiered_cost_kernel_devices(
     int net_hops, Seconds per_stripe_overhead, Bytes offset, Bytes size,
     std::span<TierGeometry> scratch);
 
-/// Admissible floor of the kernel: a lower bound, for a request of `size`
-/// bytes at ANY offset, on what tiered_cost_kernel_devices returns under
-/// `layout` with `tier_factors` (and on tiered_cost_kernel when every
-/// factor is 1.0, since that kernel returns the same bits).  Requires
-/// every cost parameter — alpha/beta, t, latency, hops, per-stripe
-/// overhead, factors — to be non-negative; the bound holds in floating
-/// point, not just over the reals.
+/// The exact window floor of the kernel: for a request of `size` bytes, the
+/// minimum of tiered_cost_kernel_devices over EVERY offset residue in
+/// [0, S), shaved by a relative 2^-47 so that it never exceeds the kernel's
+/// double at any offset (and so never exceeds tiered_cost_kernel's either
+/// when every factor is 1.0).  Requires every cost parameter — alpha/beta,
+/// t, latency, hops, per-stripe overhead, factors — to be non-negative.
 ///
-/// Derivation: with q = size / S and rem = size mod S, the request covers
-/// q whole periods plus a window of rem < S bytes, and at most S - L_j of
-/// that window can miss tier j (L_j = counts_j * stripes_j).  So tier j
-/// holds at least q*L_j + max(0, rem - (S - L_j)) bytes; every member holds
-/// q*stripe_j of them, the busiest at least the average of the rest, and
-/// with q == 0 each member holds at most one stripe, which floors the
-/// touched count.  Those integer floors — max bytes, touched servers,
-/// pieces — are fed through the kernel's own expressions; every step is
-/// monotone in them (rounding included), so the double is at most the
-/// kernel's double.  The touched floor enters T_S as the smaller of its
-/// E[max] and the full tier's, which covers either sign of
-/// startup_max - startup_min.
-Seconds tiered_cost_floor(const TierLayout& layout,
-                          std::span<const storage::OpProfile* const> profiles,
-                          std::span<const double> tier_factors, Seconds t,
-                          Seconds net_latency, int net_hops,
-                          Seconds per_stripe_overhead, Bytes size);
+/// Derivation.  With q = size / S and rem = size mod S, server i of tier j
+/// holds q * stripe_j bytes plus its share of the rem-byte window that
+/// starts at residue x and may wrap past S.  Sweep x over [0, S): the
+/// window's start cell changes where x reaches a cell boundary c, its end
+/// cell where x reaches (c - rem + 1) mod S, so [0, S) falls into at most
+/// 2 * sum(counts) pieces.  Within one piece every cell strictly between
+/// the start and end cells is full, so each tier's touched count, pieces
+/// (q plus one when the window reaches the tier) and startup term are
+/// constant, and each tier's max bytes is q * stripe_j plus the largest of
+/// a constant (one stripe if the tier has a full cell), the start fragment
+/// s0 - x and the end fragment e0 + x, whose sum D is constant.  So on a
+/// piece the cost is
+///   h(a) = ht * max(K0, A(a), B(a)) + max(T0, w_a A(a), w_b B(a)) + const
+/// in the start fragment a, with A(a) = q s_a + a rising, B(a) = q s_b +
+/// D - a falling, ht = hops * t and w_j = f_j * beta_j: convex and piecewise
+/// linear.  T_X alone is minimal on an interval around the byte balance
+/// A = B (flat where K0 dominates), T_T alone around the weighted balance
+/// w_a A = w_b B; between the two intervals h is linear, so its minimum is
+/// at the end of one interval that faces the other (or anywhere in their
+/// overlap), clipped to the piece.  The integer minimum is one of the
+/// integers next to that point; they are scored, and the smallest score
+/// over all pieces is the floor.  When only one fragment lands on a tier
+/// without a full cell the piece is monotone and its end is the minimum;
+/// when both fragments share such a tier, the cost depends on the larger
+/// fragment alone, minimal at D / 2.
+///
+/// Rounding.  The kernel evaluates the same expression on the same integer
+/// inputs: each non-negative sum and product rounds once, at most five
+/// times along any path, so its double lies within (1 +- u)^5 of the real
+/// value (u = 2^-53), and the floor's own score within (1 + u)^5 of the
+/// real minimum; the startup and per-stripe terms are computed bit for bit
+/// as the kernel does.  The shave 2^-47 (= 64u) covers both and the final
+/// product.  The balance points involving T_T are real numbers, located in
+/// double to within far less than half a byte for sizes below 2^44 bytes;
+/// above that the piece falls back to scoring each fragment at its own
+/// smallest value, a looser but still admissible bound.
+class WindowFloor {
+ public:
+  /// Precomputes each tier's E[max startup] over touched counts 0..count
+  /// for both ops, so the sweep never divides.
+  explicit WindowFloor(const TieredCostParams& params);
+
+  /// Targets one candidate layout: per-tier server `counts` (at most the
+  /// params' counts, e.g. a member prefix), `stripes` and worst factors.
+  /// Requires a nonzero period.  Needs no TierLayout, so a candidate can be
+  /// abandoned before its divisors are built.
+  void bind(std::span<const std::size_t> counts, std::span<const Bytes> stripes,
+            std::span<const double> tier_factors);
+
+  /// The floor for a request of `size` bytes of `op` under the bound layout.
+  Seconds operator()(IoOp op, Bytes size);
+
+ private:
+  /// One tier of the bound layout that holds cells (servers and a stripe).
+  struct Tier {
+    Bytes stripe = 0;
+    std::size_t count = 0;
+    double factor = 1.0;
+    double weight[2] = {0.0, 0.0};            ///< factor * per_byte, per op
+    const Seconds* startup[2] = {nullptr, nullptr};  ///< by touched count
+  };
+  struct Cell {
+    Bytes end = 0;           ///< end offset within the period
+    std::uint32_t tier = 0;  ///< index into tiers_
+  };
+
+  Seconds hops_t_ = 0.0;
+  Seconds latency_ = 0.0;
+  Seconds per_stripe_ = 0.0;
+  std::vector<Seconds> startup_;      ///< every (tier, op) table, flattened
+  std::vector<std::size_t> table_at_; ///< table start per (tier, op)
+  std::vector<std::size_t> tier_count_;
+  std::vector<double> weight_[2];     ///< per_byte per params tier, per op
+
+  Bytes period_ = 0;
+  std::vector<Tier> tiers_;
+  std::vector<Cell> cells_;
+  std::vector<std::uint32_t> full_;   ///< full cells per tier (sweep state)
+};
 
 /// Cost of one request with per-tier stripe sizes (generalized Eq. 7/8).
 /// Heterogeneous tiers (non-empty device_factors) are charged at the worst

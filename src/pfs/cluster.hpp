@@ -41,7 +41,7 @@ struct TierGroup {
   std::size_t count = 0;
   storage::TierProfile profile;
   bool is_ssd = false;              ///< selects the SSD vs HDD device model
-  std::vector<double> device_factors;  ///< empty, or one factor per member
+  std::vector<double> device_factors = {};  ///< empty, or one per member
 };
 
 struct ClusterConfig {

@@ -114,6 +114,15 @@ std::vector<mw::RankProgram> make_multiregion_programs(
   return programs;
 }
 
+std::vector<MultiRegionConfig::Region> MultiRegionConfig::paper_regions() {
+  return {
+      {256 * MiB, 128 * KiB},
+      {1 * GiB, 512 * KiB},
+      {2 * GiB, 1 * MiB},
+      {4 * GiB, 2 * MiB},
+  };
+}
+
 Bytes multiregion_file_size(const MultiRegionConfig& config) {
   Bytes total = 0;
   for (const auto& r : config.regions) total += r.size;

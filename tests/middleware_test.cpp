@@ -307,9 +307,12 @@ TEST(Runner, WorksOnThreeTierClusters) {
   sim::Simulator sim;
   pfs::ClusterConfig cfg;
   cfg.tiers = {
-      pfs::TierGroup{"hdd", 2, storage::hdd_profile(), false},
-      pfs::TierGroup{"sata", 1, storage::sata_ssd_profile(), true},
-      pfs::TierGroup{"nvme", 1, storage::nvme_ssd_profile(), true},
+      pfs::TierGroup{.name = "hdd", .count = 2,
+                     .profile = storage::hdd_profile(), .is_ssd = false},
+      pfs::TierGroup{.name = "sata", .count = 1,
+                     .profile = storage::sata_ssd_profile(), .is_ssd = true},
+      pfs::TierGroup{.name = "nvme", .count = 1,
+                     .profile = storage::nvme_ssd_profile(), .is_ssd = true},
   };
   cfg.num_clients = 2;
   pfs::Cluster cluster(sim, cfg);

@@ -653,7 +653,8 @@ pfs::ClusterConfig deterministic_config() {
   det.read = storage::OpProfile{500e-6, 500e-6, 1e-8};
   det.write = storage::OpProfile{500e-6, 500e-6, 1e-8};
   pfs::ClusterConfig cfg;
-  cfg.tiers = {pfs::TierGroup{"det", 2, det, /*is_ssd=*/true}};
+  cfg.tiers = {pfs::TierGroup{.name = "det", .count = 2, .profile = det,
+                              .is_ssd = true}};
   cfg.num_clients = 1;
   cfg.network = net::NetworkParams{1e-9, 40e-6};
   cfg.server_per_stripe_overhead = 50e-6;
@@ -666,7 +667,8 @@ pfs::ClusterConfig deterministic_config() {
 core::TieredCostParams matching_params(const pfs::ClusterConfig& cfg) {
   core::TieredCostParams params;
   for (const auto& group : cfg.tiers) {
-    params.tiers.push_back(core::TierSpec{group.count, group.profile});
+    params.tiers.push_back(core::TierSpec{.count = group.count,
+                                          .profile = group.profile});
   }
   params.t = cfg.network.per_byte;
   params.net_latency = 2.0 * cfg.network.message_latency;

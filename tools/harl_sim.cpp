@@ -448,9 +448,12 @@ int main(int argc, char** argv) {
 
     const std::string metrics_out = cfg.get_or("metrics-out", "");
     const std::string trace_out = cfg.get_or("trace-out", "");
+    // Trace events are recorded only when trace-out= will write them: a
+    // health=1 or timeseries-out= run also attaches the recorder, and would
+    // otherwise keep an unbounded trace in memory that nobody reads.
+    options.recorder.trace = !trace_out.empty();
     if (!metrics_out.empty() || !trace_out.empty()) {
       options.observe = true;
-      options.recorder.trace = !trace_out.empty();
       options.recorder.max_trace_events =
           static_cast<std::size_t>(cfg.get_int("trace-events", 0));
     }
